@@ -1,7 +1,7 @@
 # Convenience targets; everything below is plain dune + the built
 # binaries, so `dune build` / `dune runtest` directly work too.
 
-.PHONY: all build test lint lint-deep verify-lint verify verify-supervised verify-obs verify-diagnostics verify-serve verify-overload verify-fleet verify-prof demo supervised-demo bench bench-obs clean
+.PHONY: all build test lint lint-deep verify-lint verify verify-supervised verify-obs verify-diagnostics verify-serve verify-overload verify-fleet verify-prof bench-selftest demo supervised-demo bench bench-obs clean
 
 all: build
 
@@ -34,7 +34,7 @@ verify-lint: lint lint-deep
 # clock skew, reversed intervals, reordering), run checkpointed
 # inference in lenient mode over the survivors, and resume from the
 # written checkpoint.
-verify: build lint lint-deep test demo supervised-demo verify-diagnostics verify-serve verify-overload verify-fleet verify-prof
+verify: build lint lint-deep test bench-selftest demo supervised-demo verify-diagnostics verify-serve verify-overload verify-fleet verify-prof
 	@echo "verify: OK"
 
 # Supervised-runtime verification: the test suite plus a live
@@ -184,6 +184,13 @@ verify-fleet: build
 # Details in scripts/verify_prof.
 verify-prof: build
 	scripts/verify_prof
+
+# Benchmark self-checks (~3 s): build the perfbench harness against
+# the current lib/ and unit-check its tail rule, self time, open-loop
+# latency, lateness and histogram deltas, so a library change that
+# breaks the benchmark's build or its checks fails `make verify`.
+bench-selftest:
+	sh perfbench/run.sh selftest
 
 # Core-throughput regression gate: time the hot paths directly and
 # compare against the committed BENCH_core.json baseline; fails on a

@@ -573,7 +573,9 @@ let observe_iteration (t : t) ~chain ?waiting mean_service =
 
 let gc_tick (t : t) =
   locked t (fun () ->
-      let st = Gc.quick_stat () in
+      (* quick_stat's minor words advance only at a minor collection;
+         Gc.minor_words also counts the current minor heap *)
+      let st = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () } in
       let g = t.gc in
       (match t.gc_base with
       | None -> ()

@@ -70,7 +70,9 @@ val observe_iteration :
 
 val gc_tick : t -> unit
 (** Fold a [Gc.quick_stat] delta since the previous tick into the
-    [qnet_gc_*] metric families and the snapshot's [gc] block. *)
+    [qnet_gc_*] metric families and the snapshot's [gc] block. Minor
+    words come from [Gc.minor_words], which, unlike [quick_stat], also
+    counts the current minor heap. *)
 
 val set_arrival_queue : t -> int -> unit
 (** Mark the virtual arrival queue so the convergence verdict and the

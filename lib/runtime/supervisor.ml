@@ -204,7 +204,7 @@ type chain_state = {
   age_gauge : Metrics.Gauge.t;
   cancel : bool Atomic.t;
   faults : armed_fault array;
-  mutable params : Params.t;  (* qnet-lint: racy-ok C003 round-barrier hand-off: the spawned round domain owns st until join; supervisor touches it only between rounds *)
+  mutable params : Params.t;  (* qnet-lint: racy-ok C001 round-barrier hand-off: the spawned round domain owns st until join; supervisor touches it only between rounds *)
   mutable it : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
   mutable restarts : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
   mutable incidents : (int * string) list;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)

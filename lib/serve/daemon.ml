@@ -393,7 +393,7 @@ let handle_posterior_inner t tenant =
                        match Shard.degraded_reason s with
                        | None -> Jsonx.Null
                        | Some m -> Jsonx.Str m );
-                     ("fit_mode", Jsonx.Str p.Shard.fit_mode);
+                     ("fit_mode", Jsonx.Str (Shard.fit_mode_label p.Shard.fit_mode));
                      ("admission_rate", Jsonx.Num snap.Admission.rate);
                      ( "sampling_fraction",
                        Jsonx.Num (Admission.admitted_fraction snap) );

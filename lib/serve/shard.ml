@@ -88,6 +88,15 @@ let status_label = function
   | Restarting _ -> "restarting"
   | Failed _ -> "failed"
 
+(* How a served posterior was produced: a supervised multi-chain fit,
+   an incremental windowed fit, or read back from the checkpoint. *)
+type fit_mode = Full | Incremental | Checkpoint
+
+let fit_mode_label = function
+  | Full -> "full"
+  | Incremental -> "incremental"
+  | Checkpoint -> "checkpoint"
+
 (* The degradation ladder. A shard serves posteriors at every rung;
    what changes is how fresh they can be: full supervised refits, then
    bounded-memory incremental refits for hot shards, then stale serve
@@ -111,7 +120,7 @@ type posterior = {
   num_events : int;
   from_checkpoint : bool;
   fitted_at : float;
-  fit_mode : string;
+  fit_mode : fit_mode;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -273,12 +282,14 @@ type item = {
 let max_pending_traces = 16
 
 type tenant_state = {
-  mutable events : Trace.event list;  (* newest first *)
-  mutable count : int;
+  events : Trace.event Queue.t;  (* oldest first, at most max_tenant_events *)
   mutable since_fit : int;
   mutable post : posterior option;
   mutable pending_traces : Trace_ctx.t list;  (* newest first *)
 }
+
+let new_tenant post =
+  { events = Queue.create (); since_fit = 0; post; pending_traces = [] }
 
 type fault_state = {
   spec : Fault.service_fault;
@@ -642,19 +653,21 @@ let current_log_lines t =
   Mutex.protect t.mutex (fun () ->
       Hashtbl.fold
         (fun tenant ts acc ->
-          List.rev_map
-            (fun (e : Trace.event) ->
-              Ingest.to_json_line
-                {
-                  Ingest.tenant;
-                  task = e.Trace.task;
-                  state = e.Trace.state;
-                  queue = e.Trace.queue;
-                  arrival = e.Trace.arrival;
-                  departure = e.Trace.departure;
-                })
-            ts.events
-          @ acc)
+          List.rev_append
+            (Queue.fold
+               (fun lines (e : Trace.event) ->
+                 Ingest.to_json_line
+                   {
+                     Ingest.tenant;
+                     task = e.Trace.task;
+                     state = e.Trace.state;
+                     queue = e.Trace.queue;
+                     arrival = e.Trace.arrival;
+                     departure = e.Trace.departure;
+                   }
+                 :: lines)
+               [] ts.events)
+            acc)
         t.tenant_tbl [])
 
 let write_checkpoint t =
@@ -719,29 +732,16 @@ let absorb t items =
               match Hashtbl.find_opt t.tenant_tbl r.Ingest.tenant with
               | Some ts -> ts
               | None ->
-                  let ts =
-                    {
-                      events = [];
-                      count = 0;
-                      since_fit = 0;
-                      post = None;
-                      pending_traces = [];
-                    }
-                  in
+                  let ts = new_tenant None in
                   Hashtbl.add t.tenant_tbl r.Ingest.tenant ts;
                   ts
             in
-            ts.events <- Ingest.to_trace_event r :: ts.events;
-            ts.count <- ts.count + 1;
+            Queue.push (Ingest.to_trace_event r) ts.events;
             ts.since_fit <- ts.since_fit + 1;
-            if ts.count > t.cfg.max_tenant_events then begin
-              (* drop the oldest tail; the lenient rebuild re-repairs
-                 the truncated window at the next fit *)
-              let keep = t.cfg.max_tenant_events in
-              ts.events <-
-                List.filteri (fun i _ -> i < keep) ts.events;
-              ts.count <- keep
-            end;
+            (* drop the oldest event; the lenient rebuild re-repairs the
+               truncated window at the next fit *)
+            if Queue.length ts.events > t.cfg.max_tenant_events then
+              ignore (Queue.take ts.events : Trace.event);
             if not (Float.is_nan it.enqueued_at) then begin
               let wait = Float.max 0.0 (absorbed_at -. it.enqueued_at) in
               Fleet.record Fleet.Queue_wait ~tenant:r.Ingest.tenant wait;
@@ -766,17 +766,6 @@ let absorb t items =
 (* Fitting                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let csv_of_events events =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "task,state,queue,arrival,departure\n";
-  List.iter
-    (fun (e : Trace.event) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%.17g,%.17g\n" e.Trace.task e.Trace.state
-           e.Trace.queue e.Trace.arrival e.Trace.departure))
-    events;
-  Buffer.contents buf
-
 let fit_seed t tenant =
   (* distinct, reproducible stream per (daemon seed, shard, tenant,
      round); collisions are harmless (independent data) *)
@@ -785,155 +774,104 @@ let fit_seed t tenant =
   + (31 * Mutex.protect t.mutex (fun () -> t.round_count))
   + (Router.fnv1a tenant mod 1_000_003)
 
-let fit_tenant t tenant =
-  let events, prev_post =
-    Mutex.protect t.mutex (fun () ->
-        match Hashtbl.find_opt t.tenant_tbl tenant with
-        | None -> ([], None)
-        | Some ts -> (List.rev ts.events, ts.post))
-  in
-  if events = [] then ()
-  else begin
-    let csv = csv_of_events events in
-    match Trace.of_csv_lenient ~num_queues:t.cfg.num_queues csv with
-    | Error _report ->
-        Metrics.Counter.inc (Lazy.force m_fit_failures);
-        Mutex.protect t.mutex (fun () ->
-            t.err <- Some (Printf.sprintf "tenant %s: no usable events" tenant))
-    | Ok (trace, report) ->
-        if report.Trace.events_dropped > 0 then
-          Metrics.Counter.inc
-            ~by:(float_of_int report.Trace.events_dropped)
-            (Lazy.force m_repair_dropped);
-        if trace.Trace.num_tasks < 2 then ()
-        else begin
-          let seed = fit_seed t tenant in
-          let rng = Rng.create ~seed () in
-          let mask = Obs.mask rng (Obs.Task_fraction t.cfg.obs_fraction) trace in
-          let make_store () = Store.of_trace ~observed:mask trace in
-          let sup_config =
-            {
-              Supervisor.default_config with
-              Supervisor.chains = t.cfg.chains;
-              min_chains = Stdlib.min t.cfg.min_chains t.cfg.chains;
-              stem =
-                {
-                  Stem.default_config with
-                  Stem.iterations = t.cfg.fit_iterations;
-                  burn_in = t.cfg.fit_iterations / 2;
-                };
-              round_iterations = Stdlib.max 5 (t.cfg.fit_iterations / 4);
-              sweep_deadline = t.cfg.sweep_deadline;
-              max_restarts = 1;
-            }
-          in
-          let init =
-            match prev_post with
-            | Some p
-              when Params.num_queues p.params = t.cfg.num_queues ->
-                Some p.params
-            | _ -> None
-          in
-          match Supervisor.run ~config:sup_config ?init ~seed make_store with
-          | exception Invalid_argument m ->
-              Metrics.Counter.inc (Lazy.force m_fit_failures);
-              Mutex.protect t.mutex (fun () ->
-                  t.err <- Some (Printf.sprintf "tenant %s: %s" tenant m))
-          | exception Failure m ->
-              Metrics.Counter.inc (Lazy.force m_fit_failures);
-              Mutex.protect t.mutex (fun () ->
-                  t.err <- Some (Printf.sprintf "tenant %s: %s" tenant m))
-          | r when r.Supervisor.status = Supervisor.Failed ->
-              Metrics.Counter.inc (Lazy.force m_fit_failures);
-              Mutex.protect t.mutex (fun () ->
-                  t.err <-
-                    Some (Printf.sprintf "tenant %s: fit had no healthy chain" tenant))
-          | r ->
-              let done_ =
-                Array.fold_left
-                  (fun acc v ->
-                    Stdlib.max acc v.Supervisor.iterations_done)
-                  0 r.Supervisor.verdicts
-              in
-              Metrics.Counter.inc (Lazy.force m_fits);
-              Mutex.protect t.mutex (fun () ->
-                  t.iters <- t.iters + Stdlib.max 1 done_;
-                  match Hashtbl.find_opt t.tenant_tbl tenant with
-                  | None -> ()
-                  | Some ts ->
-                      ts.since_fit <- 0;
-                      ts.post <-
-                        Some
-                          {
-                            tenant;
-                            params = r.Supervisor.params;
-                            mean_service = r.Supervisor.mean_service;
-                            iteration = t.iters;
-                            round = t.round_count;
-                            num_events = Array.length trace.Trace.events;
-                            from_checkpoint = false;
-                            fitted_at = Clock.now ();
-                            fit_mode = "full";
-                          });
-              Metrics.Gauge.set t.iter_gauge (float_of_int (iterations t))
-        end
-  end
+let fit_failed t tenant msg =
+  Metrics.Counter.inc (Lazy.force m_fit_failures);
+  Mutex.protect t.mutex (fun () ->
+      t.err <- Some (Printf.sprintf "tenant %s: %s" tenant msg))
 
-(* The cheap rung of the ladder: a short windowed Online_stem run
-   warm-started from the tenant's previous posterior. Bounded memory
-   and a fraction of the sweeps of a full supervised fit — right for a
-   hot tenant or a shard that blew its deadline budget. *)
-let fit_tenant_incremental t tenant =
+(* The estimator behind each fit mode, warm-started from [init]:
+   [Ok (Some (params, mean_service, iterations))], [Ok None] to keep
+   the previous posterior, or [Error] for a failed fit. [Incremental]
+   is the cheap rung of the ladder: a short windowed Online_stem run
+   with bounded memory and a fraction of the sweeps of a full
+   supervised fit — right for a hot tenant or a shard that blew its
+   deadline budget. *)
+let estimate t mode ~seed ?init rng trace mask =
+  match mode with
+  | Full ->
+      let config =
+        {
+          Supervisor.default_config with
+          Supervisor.chains = t.cfg.chains;
+          min_chains = Stdlib.min t.cfg.min_chains t.cfg.chains;
+          stem =
+            {
+              Stem.default_config with
+              Stem.iterations = t.cfg.fit_iterations;
+              burn_in = t.cfg.fit_iterations / 2;
+            };
+          round_iterations = Stdlib.max 5 (t.cfg.fit_iterations / 4);
+          sweep_deadline = t.cfg.sweep_deadline;
+          max_restarts = 1;
+        }
+      in
+      let r =
+        Supervisor.run ~config ?init ~seed (fun () ->
+            Store.of_trace ~observed:mask trace)
+      in
+      if r.Supervisor.status = Supervisor.Failed then
+        Error "fit had no healthy chain"
+      else
+        let done_ =
+          Array.fold_left
+            (fun acc v -> Stdlib.max acc v.Supervisor.iterations_done)
+            0 r.Supervisor.verdicts
+        in
+        Ok
+          (Some
+             ( r.Supervisor.params,
+               r.Supervisor.mean_service,
+               Stdlib.max 1 done_ ))
+  | Incremental -> (
+      let iterations = Stdlib.max 4 (t.cfg.fit_iterations / 2) in
+      let config = { Online.num_windows = 2; iterations; min_tasks = 2 } in
+      match Online.run ~config ?init rng trace ~mask with
+      | [] -> Ok None (* every window under min_tasks *)
+      | steps ->
+          let last = List.nth steps (List.length steps - 1) in
+          Metrics.Counter.inc (Lazy.force m_incremental_fits);
+          Ok
+            (Some
+               ( last.Online.params,
+                 last.Online.mean_service,
+                 iterations * List.length steps )))
+  | Checkpoint -> invalid_arg "a checkpoint is not a fit mode"
+
+(* Refit one tenant on a snapshot of its buffered window: lenient
+   repair, a seeded observation mask, then [mode]'s estimator. *)
+let fit_tenant t mode tenant =
   let events, prev_post =
     Mutex.protect t.mutex (fun () ->
         match Hashtbl.find_opt t.tenant_tbl tenant with
         | None -> ([], None)
-        | Some ts -> (List.rev ts.events, ts.post))
+        | Some ts -> (List.of_seq (Queue.to_seq ts.events), ts.post))
   in
-  if events = [] then ()
-  else begin
-    let csv = csv_of_events events in
-    match Trace.of_csv_lenient ~num_queues:t.cfg.num_queues csv with
-    | Error _report ->
-        Metrics.Counter.inc (Lazy.force m_fit_failures);
-        Mutex.protect t.mutex (fun () ->
-            t.err <- Some (Printf.sprintf "tenant %s: no usable events" tenant))
+  if events <> [] then
+    match Trace.of_events_lenient ~num_queues:t.cfg.num_queues events with
+    | Error _report -> fit_failed t tenant "no usable events"
     | Ok (trace, report) ->
         if report.Trace.events_dropped > 0 then
           Metrics.Counter.inc
             ~by:(float_of_int report.Trace.events_dropped)
             (Lazy.force m_repair_dropped);
-        if trace.Trace.num_tasks < 2 then ()
-        else begin
+        if trace.Trace.num_tasks >= 2 then begin
           let seed = fit_seed t tenant in
           let rng = Rng.create ~seed () in
           let mask = Obs.mask rng (Obs.Task_fraction t.cfg.obs_fraction) trace in
-          let iterations_per_window = Stdlib.max 4 (t.cfg.fit_iterations / 2) in
-          let config =
-            {
-              Online.num_windows = 2;
-              iterations = iterations_per_window;
-              min_tasks = 2;
-            }
-          in
           let init =
             match prev_post with
             | Some p when Params.num_queues p.params = t.cfg.num_queues ->
                 Some p.params
             | _ -> None
           in
-          match Online.run ~config ?init rng trace ~mask with
-          | exception (Invalid_argument m | Failure m) ->
-              Metrics.Counter.inc (Lazy.force m_fit_failures);
-              Mutex.protect t.mutex (fun () ->
-                  t.err <- Some (Printf.sprintf "tenant %s: %s" tenant m))
-          | [] -> () (* every window under min_tasks; keep the old posterior *)
-          | steps ->
-              let last = List.nth steps (List.length steps - 1) in
-              Metrics.Counter.inc (Lazy.force m_incremental_fits);
+          match estimate t mode ~seed ?init rng trace mask with
+          | exception (Invalid_argument m | Failure m) -> fit_failed t tenant m
+          | Error m -> fit_failed t tenant m
+          | Ok None -> ()
+          | Ok (Some (params, mean_service, fitted)) ->
               Metrics.Counter.inc (Lazy.force m_fits);
               Mutex.protect t.mutex (fun () ->
-                  t.iters <- t.iters + (iterations_per_window * List.length steps);
+                  t.iters <- t.iters + fitted;
                   match Hashtbl.find_opt t.tenant_tbl tenant with
                   | None -> ()
                   | Some ts ->
@@ -942,18 +880,17 @@ let fit_tenant_incremental t tenant =
                         Some
                           {
                             tenant;
-                            params = last.Online.params;
-                            mean_service = last.Online.mean_service;
+                            params;
+                            mean_service;
                             iteration = t.iters;
                             round = t.round_count;
                             num_events = Array.length trace.Trace.events;
                             from_checkpoint = false;
                             fitted_at = Clock.now ();
-                            fit_mode = "incremental";
+                            fit_mode = mode;
                           });
               Metrics.Gauge.set t.iter_gauge (float_of_int (iterations t))
         end
-  end
 
 let tenant_hot t tenant =
   Mutex.protect t.mutex (fun () ->
@@ -968,7 +905,7 @@ let due_tenants t =
       Hashtbl.fold
         (fun tenant ts acc ->
           if
-            ts.count >= t.cfg.min_tenant_events
+            Queue.length ts.events >= t.cfg.min_tenant_events
             && (ts.since_fit >= t.cfg.refit_events
                || (interval_elapsed && ts.since_fit > 0))
           then tenant :: acc
@@ -1063,19 +1000,17 @@ let run_fit_round t due =
   let lvl = level t in
   List.iter
     (fun tenant ->
-      let mode =
+      let mode : fit_mode option =
         match lvl with
         | Pinned -> None
-        | Incremental -> Some `Inc
-        | Full_fits -> Some (if tenant_hot t tenant then `Inc else `Full)
+        | Incremental -> Some Incremental
+        | Full_fits -> Some (if tenant_hot t tenant then Incremental else Full)
       in
       match mode with
       | None -> ()
-      | Some m ->
+      | Some mode ->
           let f0 = Clock.elapsed () in
-          (match m with
-          | `Inc -> fit_tenant_incremental t tenant
-          | `Full -> fit_tenant t tenant);
+          fit_tenant t mode tenant;
           let f1 = Clock.elapsed () in
           let dt = Float.max 0.0 (f1 -. f0) in
           Fleet.record Fleet.Refit ~tenant dt;
@@ -1090,9 +1025,6 @@ let run_fit_round t due =
                     ts.pending_traces <- [];
                     p)
           in
-          let mode_label =
-            match m with `Inc -> "incremental" | `Full -> "full"
-          in
           List.iter
             (fun ctx ->
               let base =
@@ -1103,7 +1035,7 @@ let run_fit_round t due =
                 ]
               in
               Span.emit
-                ~attrs:(("mode", mode_label) :: base)
+                ~attrs:(("mode", fit_mode_label mode) :: base)
                 ~start:f0 ~duration:dt "serve.refit";
               Span.emit ~attrs:base ~start:ctx.Trace_ctx.born
                 ~duration:(Float.max 0.0 (f1 -. ctx.Trace_ctx.born))
@@ -1365,12 +1297,8 @@ let resume_from_disk t =
                     with
                     | params ->
                         Hashtbl.replace t.tenant_tbl e.Ckpt.tenant
-                          {
-                            events = [];
-                            count = 0;
-                            since_fit = 0;
-                            post =
-                              Some
+                          (new_tenant
+                             (Some
                                 {
                                   tenant = e.Ckpt.tenant;
                                   params;
@@ -1380,10 +1308,8 @@ let resume_from_disk t =
                                   num_events = e.Ckpt.num_events;
                                   from_checkpoint = true;
                                   fitted_at = 0.0;
-                                  fit_mode = "checkpoint";
-                                };
-                            pending_traces = [];
-                          }
+                                  fit_mode = Checkpoint;
+                                }))
                     | exception Invalid_argument m ->
                         Log.warn (fun f ->
                             f "shard %d: dropping tenant %s from checkpoint: %s"

@@ -6,10 +6,11 @@
     tenant's posterior by handing the buffered trace to the existing
     supervised multi-chain StEM runtime ({!Qnet_runtime.Supervisor}),
     warm-started from the previous posterior. The buffered events go
-    through {!Qnet_trace.Trace.of_csv_lenient} first, so the same
-    repair machinery that protects batch ingestion (duplicates,
-    broken chains, reversed intervals) protects the streaming path;
-    repair drops are counted, never fatal.
+    through {!Qnet_trace.Trace.of_events_lenient} first — the repair
+    step of {!Qnet_trace.Trace.of_csv_lenient}, on the typed events —
+    so the same repair machinery that protects batch ingestion
+    (duplicates, broken chains, reversed intervals) protects the
+    streaming path; repair drops are counted, never fatal.
 
     {b Crash tolerance.} The worker is supervised in-process: any
     exception (including an injected {!Qnet_runtime.Fault.Shard_crash})
@@ -66,7 +67,8 @@ type config = {
   min_tenant_events : int;
       (** tenants with fewer buffered events are not fitted (default 40) *)
   max_tenant_events : int;
-      (** per-tenant buffer bound; oldest events are dropped and the
+      (** per-tenant buffer bound: the buffer is a FIFO queue that
+          drops its oldest event once it holds more than this, and the
           lenient rebuild re-repairs the window (default 4000) *)
   obs_fraction : float;
       (** observation mask fraction applied before fitting — the
@@ -118,6 +120,15 @@ type status =
 val status_label : status -> string
 (** Lowercase token for JSON/metrics ("healthy", "restarting", ...). *)
 
+type fit_mode = Full | Incremental | Checkpoint
+(** How a served posterior was produced: a supervised multi-chain
+    refit, an incremental {!Qnet_core.Online_stem} refit, or read back
+    from the checkpoint at start. *)
+
+val fit_mode_label : fit_mode -> string
+(** "full" | "incremental" | "checkpoint" — the [fit_mode] of
+    [posterior.json] and the [mode] attribute of [serve.refit] spans. *)
+
 type level = Full_fits | Incremental | Pinned
 (** The degradation ladder, from freshest to stalest serving mode. *)
 
@@ -136,7 +147,7 @@ type posterior = {
   num_events : int;  (** events in the fitted window *)
   from_checkpoint : bool;  (** resumed, not yet refreshed by a live fit *)
   fitted_at : float;  (** {!Qnet_obs.Clock.now} at fit (0 for resumed) *)
-  fit_mode : string;  (** "full" | "incremental" | "checkpoint" *)
+  fit_mode : fit_mode;
 }
 
 (** The checkpoint codec, exposed for tests: one line of JSON,

@@ -263,82 +263,64 @@ let pp_ingest_report ppf r =
         e.detail)
     (List.rev r.errors)
 
-let of_csv_lenient ~num_queues text =
-  if num_queues <= 0 then invalid_arg "Trace.of_csv_lenient: num_queues must be positive";
-  let errors = ref [] in
-  let record ?line ?task reason detail =
-    errors := { line; task_id = task; reason; detail } :: !errors
+(* Per-event sanity: the checks a single record can fail on its own,
+   before any cross-record repair. *)
+let field_error ~num_queues e =
+  if Float.is_nan e.arrival || Float.is_nan e.departure then
+    Some (Nan_field, "NaN arrival or departure")
+  else if e.queue < 0 || e.queue >= num_queues then
+    Some (Bad_queue, Printf.sprintf "queue %d outside [0,%d)" e.queue num_queues)
+  else if e.arrival < 0.0 || e.departure < 0.0 then
+    Some
+      ( Negative_time,
+        Printf.sprintf "negative time (arrival %g, departure %g)" e.arrival
+          e.departure )
+  else if e.departure < e.arrival -. chain_tolerance then
+    Some
+      ( Out_of_order,
+        Printf.sprintf "departure %g before arrival %g" e.departure e.arrival )
+  else None
+
+(* The repair half of lenient ingestion, on records already parsed.
+   [parsed] pairs each event with its 1-based source line (0 when it
+   has none) in source order; [parse_errors] (newest first),
+   [lines_read] and [data_lines] carry what the parse step saw. *)
+let repair ~num_queues ~parse_errors ~lines_read ~data_lines parsed =
+  let errors = ref [] and field_errors = ref [] in
+  let add errs ?line ?task reason detail =
+    errs := { line; task_id = task; reason; detail } :: !errs
   in
-  let lines = String.split_on_char '\n' text in
-  let lines_read = ref 0 in
-  let data_lines = ref 0 in
-  (* Pass 1: per-line parsing and per-field sanity. *)
-  let parsed = ref [] (* (line number, event), newest first *) in
-  let lineno = ref 0 in
-  List.iter
-    (fun raw ->
-      incr lineno;
-      let line = String.trim raw in
-      if line <> "" then begin
-        incr lines_read;
-        let is_header =
-          !lineno = 1 && String.length line >= 4 && String.sub line 0 4 = "task"
-        in
-        if not is_header then begin
-          incr data_lines;
-          match String.split_on_char ',' line with
-          | [ task; state; queue; arrival; departure ] -> (
-              match
-                ( int_of_string_opt (String.trim task),
-                  int_of_string_opt (String.trim state),
-                  int_of_string_opt (String.trim queue),
-                  float_of_string_opt (String.trim arrival),
-                  float_of_string_opt (String.trim departure) )
-              with
-              | Some task, Some state, Some queue, Some arrival, Some departure ->
-                  let e = { task; state; queue; arrival; departure } in
-                  if Float.is_nan arrival || Float.is_nan departure then
-                    record ~line:!lineno ~task:e.task Nan_field
-                      "NaN arrival or departure"
-                  else if queue < 0 || queue >= num_queues then
-                    record ~line:!lineno ~task:e.task Bad_queue
-                      (Printf.sprintf "queue %d outside [0,%d)" queue num_queues)
-                  else if arrival < 0.0 || departure < 0.0 then
-                    record ~line:!lineno ~task:e.task Negative_time
-                      (Printf.sprintf "negative time (arrival %g, departure %g)"
-                         arrival departure)
-                  else if departure < arrival -. chain_tolerance then
-                    record ~line:!lineno ~task:e.task Out_of_order
-                      (Printf.sprintf "departure %g before arrival %g" departure
-                         arrival)
-                  else parsed := (!lineno, e) :: !parsed
-              | _ ->
-                  record ~line:!lineno Malformed_line "unparseable numeric field")
-          | fields ->
-              record ~line:!lineno Malformed_line
-                (Printf.sprintf "expected 5 comma-separated fields, got %d"
-                   (List.length fields))
-        end
-      end)
-    lines;
-  let parsed = List.rev !parsed in
-  (* Pass 2: drop exact duplicates (keep the first occurrence). *)
+  let record = add errors in
+  let source_line l = if l > 0 then Some l else None in
+  (* Pass 1: per-field sanity, then drop exact duplicates (keep the
+     first occurrence). *)
   let seen = Hashtbl.create 256 in
   let deduped =
     List.filter
       (fun (line, e) ->
-        let key = (e.task, e.state, e.queue, e.arrival, e.departure) in
-        if Hashtbl.mem seen key then begin
-          record ~line ~task:e.task Duplicate_event "exact duplicate record";
-          false
-        end
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
+        match field_error ~num_queues e with
+        | Some (reason, detail) ->
+            add field_errors ?line:(source_line line) ~task:e.task reason detail;
+            false
+        | None ->
+            let key = (e.task, e.state, e.queue, e.arrival, e.departure) in
+            if Hashtbl.mem seen key then begin
+              record ?line:(source_line line) ~task:e.task Duplicate_event
+                "exact duplicate record";
+              false
+            end
+            else begin
+              Hashtbl.add seen key ();
+              true
+            end)
       parsed
   in
-  (* Pass 3: per-task chain repair. Sort each task's events by arrival
+  (* the per-line errors of both steps precede the duplicates, in
+     source order: both lists are newest first, so merge by descending
+     line *)
+  errors :=
+    !errors @ List.merge (fun a b -> compare b.line a.line) !field_errors parse_errors;
+  (* Pass 2: per-task chain repair. Sort each task's events by arrival
      and keep the longest valid prefix of the chain; a clock-skewed or
      missing record invalidates everything after it (the later arrivals
      can no longer be tied to a departure), not the whole task. *)
@@ -398,7 +380,7 @@ let of_csv_lenient ~num_queues text =
             Some (task, List.rev !kept))
       task_order
   in
-  (* Pass 4: route consistency — every surviving task must enter at the
+  (* Pass 3: route consistency — every surviving task must enter at the
      same (majority) arrival queue and never revisit it, or
      [Event_store.of_trace] would reject the whole trace later. *)
   let entry_counts = Hashtbl.create 8 in
@@ -453,10 +435,10 @@ let of_csv_lenient ~num_queues text =
   let report kept =
     {
       errors = !errors;
-      lines_read = !lines_read;
+      lines_read;
       events_kept = kept;
-      (* every non-header data line was a candidate record *)
-      events_dropped = !data_lines - kept;
+      (* every non-header data line, or input event, was a candidate record *)
+      events_dropped = data_lines - kept;
       tasks_dropped = !tasks_dropped;
     }
   in
@@ -470,6 +452,60 @@ let of_csv_lenient ~num_queues text =
            exception — that is the lenient contract. *)
         record Malformed_line ("residual inconsistency: " ^ msg);
         Error (report 0))
+
+let of_csv_lenient ~num_queues text =
+  if num_queues <= 0 then invalid_arg "Trace.of_csv_lenient: num_queues must be positive";
+  let parse_errors = ref [] in
+  let malformed line detail =
+    parse_errors :=
+      { line = Some line; task_id = None; reason = Malformed_line; detail }
+      :: !parse_errors
+  in
+  let lines = String.split_on_char '\n' text in
+  let lines_read = ref 0 in
+  let data_lines = ref 0 in
+  let parsed = ref [] (* (line number, event), newest first *) in
+  let lineno = ref 0 in
+  List.iter
+    (fun raw ->
+      incr lineno;
+      let line = String.trim raw in
+      if line <> "" then begin
+        incr lines_read;
+        let is_header =
+          !lineno = 1 && String.length line >= 4 && String.sub line 0 4 = "task"
+        in
+        if not is_header then begin
+          incr data_lines;
+          match String.split_on_char ',' line with
+          | [ task; state; queue; arrival; departure ] -> (
+              match
+                ( int_of_string_opt (String.trim task),
+                  int_of_string_opt (String.trim state),
+                  int_of_string_opt (String.trim queue),
+                  float_of_string_opt (String.trim arrival),
+                  float_of_string_opt (String.trim departure) )
+              with
+              | Some task, Some state, Some queue, Some arrival, Some departure ->
+                  parsed :=
+                    (!lineno, { task; state; queue; arrival; departure }) :: !parsed
+              | _ -> malformed !lineno "unparseable numeric field")
+          | fields ->
+              malformed !lineno
+                (Printf.sprintf "expected 5 comma-separated fields, got %d"
+                   (List.length fields))
+        end
+      end)
+    lines;
+  repair ~num_queues ~parse_errors:!parse_errors ~lines_read:!lines_read
+    ~data_lines:!data_lines (List.rev !parsed)
+
+let of_events_lenient ~num_queues events =
+  if num_queues <= 0 then
+    invalid_arg "Trace.of_events_lenient: num_queues must be positive";
+  let n = List.length events in
+  repair ~num_queues ~parse_errors:[] ~lines_read:n ~data_lines:n
+    (List.map (fun e -> (0, e)) events)
 
 let load_lenient ~num_queues path =
   try

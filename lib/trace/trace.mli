@@ -117,7 +117,17 @@ val of_csv_lenient :
     possible: corrupt lines are classified and skipped, exact
     duplicates dropped, each task's chain truncated at the first
     skew/gap, and tasks that enter away from the (majority) arrival
-    queue removed. [Error report] only when {e no} event survives. *)
+    queue removed. [Error report] only when {e no} event survives.
+    It parses, then runs {!of_events_lenient}'s repair on the parsed
+    events. *)
+
+val of_events_lenient :
+  num_queues:int -> event list -> (t * ingest_report, ingest_report) result
+(** [of_events_lenient ~num_queues events] is {!of_csv_lenient}
+    without the CSV: the same per-field checks, dedup, chain repair and
+    route consistency, run on already-typed events, with the same
+    report. Every error has [line = None]; [lines_read] counts the
+    input events. *)
 
 val load_lenient :
   num_queues:int ->

@@ -778,6 +778,157 @@ let test_shard_ladder_config_rejected () =
   expect_invalid "log-bytes"
     { fast_shard_config with Shard.max_log_bytes = 16 }
 
+(* ------------------------------------------------------------------ *)
+(* Refits over a replayed event log                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Shard.create replays events.log before its worker starts, so the
+   first round fits exactly the logged window with a fixed seed. *)
+let write_event_log dir records =
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Out_channel.with_open_bin (Filename.concat dir "events.log") (fun oc ->
+      List.iter
+        (fun r ->
+          output_string oc (Framed_log.frame (Ingest.to_json_line r));
+          output_char oc '\n')
+        records)
+
+let record_of_event tenant (e : Trace.event) =
+  {
+    Ingest.tenant;
+    task = e.Trace.task;
+    state = e.Trace.state;
+    queue = e.Trace.queue;
+    arrival = e.Trace.arrival;
+    departure = e.Trace.departure;
+  }
+
+let first_live_posterior s tenant =
+  let got = ref None in
+  until ~what:"first live posterior" (fun () ->
+      match Shard.posterior s ~tenant with
+      | Some p when not p.Shard.from_checkpoint ->
+          got := Some p;
+          true
+      | _ -> false);
+  Option.get !got
+
+(* A simulated tandem stream with the dirt the repair exists for: four
+   re-shipped duplicates and one task whose last hop is clock-skewed. *)
+let pin_records () =
+  let rng = Rng.create ~seed:23 () in
+  let net =
+    Topologies.tandem ~arrival_rate:10.0 ~service_rates:[ 14.0; 12.0 ]
+  in
+  let trace = Network.simulate_poisson rng net ~num_tasks:200 in
+  let events =
+    Array.to_list
+      (Array.map
+         (fun (e : Trace.event) ->
+           if e.Trace.task = 7 && e.Trace.queue = 2 then
+             { e with Trace.arrival = e.Trace.arrival +. 0.25;
+                      departure = e.Trace.departure +. 0.25 }
+           else e)
+         trace.Trace.events)
+  in
+  List.map (record_of_event "acme")
+    (events @ List.filteri (fun i _ -> i < 4) events)
+
+let pin_config =
+  {
+    Shard.default_config with
+    Shard.num_queues = 3;
+    refit_events = 1;
+    min_tenant_events = 12;
+    chains = 2;
+    fit_iterations = 8;
+    poll_interval = 0.02;
+  }
+
+(* Same seed, same window => the same posterior bits. The constants
+   were captured when refits rendered the window to CSV with %.17g and
+   re-parsed it with of_csv_lenient; the typed repair must reproduce
+   them exactly. 599 events = 200 tasks x 3 hops, less the skewed
+   task's last hop (the duplicates are dropped too). *)
+let check_pinned_refit ~name ~cfg ~mode ~rates ~mean_service =
+  let dir = Filename.concat (fresh_dir name) "s0" in
+  write_event_log dir (pin_records ());
+  match Shard.create ~dir ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      Fun.protect
+        ~finally:(fun () -> Shard.stop s)
+        (fun () ->
+          let p = first_live_posterior s "acme" in
+          let hex = Array.map (Printf.sprintf "%h") in
+          Alcotest.(check string)
+            "fit mode" mode (Shard.fit_mode_label p.Shard.fit_mode);
+          Alcotest.(check int) "round" 1 p.Shard.round;
+          Alcotest.(check int) "events kept" 599 p.Shard.num_events;
+          Alcotest.(check (array string))
+            "rates" rates (hex p.Shard.params.Qnet_core.Params.rates);
+          Alcotest.(check (array string))
+            "mean service" mean_service (hex p.Shard.mean_service))
+
+let test_shard_full_refit_pinned () =
+  check_pinned_refit ~name:"qnet-pin-full" ~cfg:pin_config ~mode:"full"
+    ~rates:
+      [| "0x1.41ddce6cafdb2p+3"; "0x1.710759fe2c80cp+3"; "0x1.966ade9afb7c5p+3" |]
+    ~mean_service:
+      [| "0x1.97398deab1303p-4"; "0x1.632e58056f5dcp-4"; "0x1.42817e131436p-4" |]
+
+let test_shard_incremental_refit_pinned () =
+  check_pinned_refit ~name:"qnet-pin-inc"
+    ~cfg:{ pin_config with Shard.hot_tenant_events = 1 }
+    ~mode:"incremental"
+    ~rates:
+      [| "0x1.50082d18908c6p+3"; "0x1.5fa0ef55ce18ap+3"; "0x1.89180e65a93bp+3" |]
+    ~mean_service:
+      [| "0x1.860ee3acd4866p-4"; "0x1.74c1c308386aep-4"; "0x1.4d6fd2e6667bbp-4" |]
+
+(* The per-tenant buffer keeps the newest max_tenant_events events: the
+   fit sees exactly that window, and compaction leaves exactly it in
+   the log. Both counts are even, so the window starts at an entry. *)
+let test_shard_buffer_cap () =
+  let cap = 40 and extra = 14 in
+  let records =
+    List.filter_map
+      (fun line ->
+        match Ingest.decode_line ~num_queues:2 line with
+        | Ok r -> Some r
+        | Error m -> Alcotest.failf "bad test line: %s" m)
+      (tenant_lines "acme" ((cap + extra) / 2))
+  in
+  let newest = List.filteri (fun i _ -> i >= extra) records in
+  let dir = Filename.concat (fresh_dir "qnet-cap") "s0" in
+  write_event_log dir records;
+  let cfg =
+    { fast_shard_config with Shard.max_tenant_events = cap; refit_events = 1 }
+  in
+  match Shard.create ~dir ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      let p =
+        Fun.protect
+          ~finally:(fun () -> Shard.stop s)
+          (fun () -> first_live_posterior s "acme")
+      in
+      Alcotest.(check int) "fitted window" cap p.Shard.num_events;
+      let logged =
+        In_channel.with_open_bin (Filename.concat dir "events.log")
+          In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map (fun l ->
+               match Framed_log.parse l with
+               | Ok payload -> payload
+               | Error _ -> Alcotest.failf "corrupt frame in compacted log: %S" l)
+      in
+      Alcotest.(check (list string))
+        "compacted log = newest window"
+        (List.map Ingest.to_json_line newest)
+        logged
+
 let test_daemon_ingest_and_posterior () =
   let dir = fresh_dir "qnet-daemon" in
   with_daemon (daemon_config dir) (fun d ->
@@ -1070,6 +1221,15 @@ let () =
             test_shard_breaker_pins;
           Alcotest.test_case "config validation" `Quick
             test_shard_ladder_config_rejected;
+        ] );
+      ( "refit",
+        [
+          Alcotest.test_case "full refit posterior pinned" `Quick
+            test_shard_full_refit_pinned;
+          Alcotest.test_case "incremental refit posterior pinned" `Quick
+            test_shard_incremental_refit_pinned;
+          Alcotest.test_case "buffer cap keeps newest window" `Quick
+            test_shard_buffer_cap;
         ] );
       ( "router",
         [ Alcotest.test_case "stable fnv routing" `Quick test_router ] );

@@ -192,6 +192,86 @@ let test_lenient_no_final_newline () =
       Alcotest.(check int) "one quarantined" 1 report.Trace.events_dropped;
       Alcotest.(check int) "one error" 1 (List.length report.Trace.errors)
 
+(* The typed repair must be exactly the CSV path minus the parse: one
+   dirty event list through both entry points, every corruption a typed
+   event can carry. Only the source line of an error may differ. *)
+let dirty_events () =
+  (* times with no short decimal form, so the CSV leg needs %.17g *)
+  let path ?(skew = 0.0) task =
+    let d = 0.1 *. float_of_int (task + 1) in
+    [ ev task 0 0 0.0 d; ev task 1 1 d (d +. 0.3); ev task 2 2 (d +. 0.3 +. skew) (d +. 0.7) ]
+  in
+  List.concat_map path [ 0; 1; 2; 3 ]
+  @ [
+      ev 4 0 0 0.0 0.5; ev 4 1 1 Float.nan 0.9;  (* NaN field *)
+      ev 5 0 0 0.0 0.6; ev 5 1 7 0.6 0.9;  (* bad queue *)
+      ev 6 0 0 0.0 0.7; ev 6 1 1 (-1.0) 0.9;  (* negative time *)
+      ev 7 0 0 0.0 0.8; ev 7 1 1 0.8 0.2;  (* departure before arrival *)
+      ev 0 1 1 0.1 (0.1 +. 0.3);  (* exact duplicate *)
+    ]
+  @ path ~skew:0.05 8 (* broken chain *)
+  @ [
+      ev 9 1 1 0.4 0.9;  (* no initial event *)
+      ev 10 0 1 0.0 0.3; ev 10 1 2 0.3 0.8;  (* minority entry queue *)
+      ev 11 0 0 0.0 0.2; ev 11 1 1 0.2 0.6; ev 11 2 0 0.6 0.9;  (* revisits q0 *)
+    ]
+
+let test_lenient_events_match_csv () =
+  let evs = dirty_events () in
+  let csv =
+    String.concat ""
+      (List.map
+         (fun (e : Trace.event) ->
+           Printf.sprintf "%d,%d,%d,%.17g,%.17g\n" e.Trace.task e.Trace.state
+             e.Trace.queue e.Trace.arrival e.Trace.departure)
+         evs)
+  in
+  let bits (t : Trace.t) =
+    Array.to_list
+      (Array.map
+         (fun (e : Trace.event) ->
+           Printf.sprintf "%d,%d,%d,%Lx,%Lx" e.Trace.task e.Trace.state
+             e.Trace.queue
+             (Int64.bits_of_float e.Trace.arrival)
+             (Int64.bits_of_float e.Trace.departure))
+         t.Trace.events)
+  in
+  let reasons (r : Trace.ingest_report) =
+    List.map
+      (fun (e : Trace.line_error) ->
+        (Trace.corruption_label e.Trace.reason, e.Trace.task_id))
+      r.Trace.errors
+  in
+  match
+    ( Trace.of_events_lenient ~num_queues:3 evs,
+      Trace.of_csv_lenient ~num_queues:3 csv )
+  with
+  | Ok (t_ev, r_ev), Ok (t_csv, r_csv) ->
+      Alcotest.(check (list string)) "events bit-identical" (bits t_csv) (bits t_ev);
+      Alcotest.(check int) "num_tasks" t_csv.Trace.num_tasks t_ev.Trace.num_tasks;
+      Alcotest.(check int) "lines read" r_csv.Trace.lines_read r_ev.Trace.lines_read;
+      Alcotest.(check int) "kept" r_csv.Trace.events_kept r_ev.Trace.events_kept;
+      Alcotest.(check int) "dropped" r_csv.Trace.events_dropped r_ev.Trace.events_dropped;
+      Alcotest.(check int) "tasks dropped" r_csv.Trace.tasks_dropped
+        r_ev.Trace.tasks_dropped;
+      Alcotest.(check (list (pair string (option int))))
+        "errors" (reasons r_csv) (reasons r_ev);
+      Alcotest.(check bool) "typed errors carry no line" true
+        (List.for_all (fun (e : Trace.line_error) -> e.Trace.line = None) r_ev.Trace.errors);
+      (* every corruption a typed event can carry was exercised *)
+      List.iter
+        (fun c ->
+          Alcotest.(check bool)
+            (Trace.corruption_label c) true
+            (List.exists (fun (e : Trace.line_error) -> e.Trace.reason = c) r_ev.Trace.errors))
+        Trace.
+          [
+            Nan_field; Bad_queue; Negative_time; Out_of_order; Duplicate_event;
+            Broken_chain; Missing_initial; Inconsistent_route;
+          ];
+      Alcotest.(check int) "survivors" 20 r_ev.Trace.events_kept
+  | _ -> Alcotest.fail "both paths must keep the clean tasks"
+
 let () =
   Alcotest.run "qnet_trace"
     [
@@ -218,5 +298,7 @@ let () =
           Alcotest.test_case "crlf line endings" `Quick test_lenient_crlf;
           Alcotest.test_case "final line without newline" `Quick
             test_lenient_no_final_newline;
+          Alcotest.test_case "typed events match csv" `Quick
+            test_lenient_events_match_csv;
         ] );
     ]

@@ -16,6 +16,8 @@ type t = {
   by_task : int array array;
   arrival_queue : int;
   task_ids : int array; (* dense task index -> original task id *)
+  latent : int array; (* unobserved indices, ascending; shared by copies, never mutated *)
+  sweep_order : int array; (* Gibbs.sweep's shuffle buffer; each copy owns its own *)
   mutable generation : int;
       (* bumped whenever the queue/ρ-chain structure changes, so
          structure-dependent caches (Parallel_gibbs plans) can detect
@@ -125,6 +127,15 @@ let of_trace ?observed trace =
         rho_inv.(order.(k - 1)) <- order.(k)
       done)
     by_queue;
+  let latent = Array.make (Array.fold_left (fun k o -> if o then k else k + 1) 0 observed) 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i o ->
+      if not o then begin
+        latent.(!k) <- i;
+        incr k
+      end)
+    observed;
   {
     num_queues = trace.Trace.num_queues;
     num_tasks;
@@ -141,6 +152,8 @@ let of_trace ?observed trace =
     by_task;
     arrival_queue;
     task_ids;
+    latent;
+    sweep_order = Array.copy latent;
     generation = 0;
   }
 
@@ -181,12 +194,7 @@ let events_at_queue t q =
   let rec collect i acc = if i < 0 then List.rev acc else collect t.rho_inv.(i) (i :: acc) in
   Array.of_list (collect t.heads.(q) [])
 
-let unobserved_events t =
-  let acc = ref [] in
-  for i = num_events t - 1 downto 0 do
-    if not t.observed.(i) then acc := i :: !acc
-  done;
-  Array.of_list !acc
+let unobserved_events t = Array.copy t.latent
 
 let arrival_queue t = t.arrival_queue
 let generation t = t.generation
@@ -215,6 +223,7 @@ let copy t =
     rho = Array.copy t.rho;
     rho_inv = Array.copy t.rho_inv;
     heads = Array.copy t.heads;
+    sweep_order = Array.copy t.latent;
   }
 
 type snapshot = {

@@ -15,7 +15,37 @@
     Indices follow the canonical ordering of [Trace.events] (sorted by
     task, then arrival). Pointer accessors return [-1] for "none". *)
 
-type t
+type t = private {
+  num_queues : int;
+  num_tasks : int;
+  task : int array;
+  state : int array;
+  queue : int array;
+  departure : float array;
+  observed : bool array;
+  pi : int array;
+  pi_inv : int array;
+  rho : int array;
+  rho_inv : int array;
+  heads : int array;  (** first arrival per queue, [-1] if none *)
+  by_task : int array array;
+  arrival_queue : int;
+  task_ids : int array;  (** dense task index -> original task id *)
+  latent : int array;
+      (** {!unobserved_events}, computed once and shared by {!copy}s;
+          never mutated *)
+  sweep_order : int array;
+      (** scratch for a shuffled Gibbs sweep's visiting order, the
+          length of [latent]; every {!copy} gets its own *)
+  mutable generation : int;
+}
+(** The fields are exposed for the Gibbs kernel, which reads an
+    event's neighbourhood straight from these arrays: a per-event
+    accessor call across modules would box every float it returns
+    (DESIGN.md §2). Treat them as read-only. Write through
+    {!set_departure}, {!move_event} and {!restore}. Only
+    {!Qnet_core.Gibbs} writes arrays itself: [departure], with
+    {!set_departure}'s guards, and [sweep_order]. *)
 
 val of_trace : ?observed:bool array -> Qnet_trace.Trace.t -> t
 (** [of_trace ~observed trace] builds the linked structure.
@@ -92,7 +122,8 @@ val events_at_queue : t -> int -> int array
 (** Event indices at a queue in (fixed) arrival order. *)
 
 val unobserved_events : t -> int array
-(** Indices with latent departures, ascending. *)
+(** Indices with latent departures, ascending: a fresh copy of
+    [latent]. *)
 
 val arrival_queue : t -> int
 (** The queue of the initial events (q0). *)

@@ -22,7 +22,17 @@
     {!Qnet_prob.Piecewise}. The derivation here additionally covers
     the cases the paper's formula leaves implicit: missing neighbours,
     the task's final event, initial (q0) events, and a task queueing
-    directly behind itself at the same queue ([g = e]). *)
+    directly behind itself at the same queue ([g = e]).
+
+    {b Hot path and oracle.} {!sample_event}, {!resample_event},
+    {!sweep} and {!run} go through one fused kernel: it reads the
+    neighbourhood straight from the store's arrays, keeps the at most
+    three pieces in locals and allocates nothing but the boxed uniforms
+    it draws. {!local_density}, {!compile} and {!log_conditional} (with
+    {!Qnet_prob.Piecewise}) are the readable reference: the kernel
+    repeats their floating-point operations in their order and
+    consumes the same draws, so for a given generator both produce the
+    same bits, which the tests check event by event. *)
 
 type local_density = {
   event : int;
@@ -35,28 +45,38 @@ type local_density = {
 
 val local_density : Event_store.t -> Params.t -> int -> local_density
 (** The full-conditional shape for one unobserved event. Raises
-    [Invalid_argument] if the event's departure is observed. *)
+    [Invalid_argument] if the event's departure is observed. An
+    unbounded window whose origin is not finite (a corrupted upstream
+    latent) carries no information and is pinned to the current
+    departure, [lower = upper = d_f], so the move leaves it
+    unchanged. *)
 
 val compile :
   local_density -> [ `Bounded of Qnet_prob.Piecewise.t | `Tail of float * float | `Point of float ]
 (** [`Bounded pw] for a finite window, [`Tail (origin, rate)] for an
     exponential right tail [origin + Exp rate], [`Point x] when the
     window is degenerate: width below 1e-12, negative, or involving a
-    non-finite bound (a corrupted latent neighbourhood collapses to a
-    point instead of raising or emitting NaN — the runtime's health
-    checker is responsible for flagging the corruption itself). *)
+    non-finite bound. A corrupted latent neighbourhood thus collapses
+    to a point instead of raising; the point is a bound that is still
+    finite, or the current departure for the windows {!local_density}
+    pins. The runtime's health checker is responsible for flagging the
+    corruption itself. *)
 
 val log_conditional : local_density -> float -> float
 (** Unnormalized conditional log-density at a point (≡ the relevant
     terms of Eq. 1 up to a constant); [neg_infinity] outside the
-    window. For tests. *)
+    window. Skips the hinges {!Qnet_prob.Piecewise.compile} drops
+    ({!Qnet_prob.Piecewise.finite_hinge}), so it agrees with the
+    sampled density up to a constant. For tests. *)
 
 val sample_event : Qnet_prob.Rng.t -> Event_store.t -> Params.t -> int -> float
 (** Draw a new departure for one event from its full conditional (does
-    not write it back). *)
+    not write it back): the fused kernel, bit-identical to
+    [compile (local_density store params f)] sampled with [rng]. *)
 
 val resample_event : Qnet_prob.Rng.t -> Event_store.t -> Params.t -> int -> unit
-(** {!sample_event} and write back via [Event_store.set_departure]. *)
+(** {!sample_event} and write back, with [Event_store.set_departure]'s
+    guards: [Invalid_argument] on an observed event or a NaN draw. *)
 
 val sweep :
   ?shuffle:bool -> Qnet_prob.Rng.t -> Event_store.t -> Params.t -> unit

@@ -37,18 +37,16 @@ let invert_piece ~rate:r ~width:w q =
     Float.max 0.0 (Float.min w y)
   end
 
+(* A hinge with a non-finite knee or slope comes from corrupted state
+   (NaN latents upstream); dropping it keeps the density well defined
+   instead of poisoning every piece mass downstream. *)
+let finite_hinge h = Float.is_finite h.knee && Float.is_finite h.slope
+
 let compile ~lower ~upper ~linear ~hinges =
   if not (Float.is_finite lower && Float.is_finite upper) then
     invalid_arg "Piecewise.compile: interval must be finite";
   if not (lower < upper) then invalid_arg "Piecewise.compile: need lower < upper";
-  (* A hinge with a non-finite knee or slope comes from corrupted state
-     (NaN latents upstream); dropping it keeps the density well defined
-     instead of poisoning every piece mass downstream. *)
-  let hinges =
-    List.filter
-      (fun h -> Float.is_finite h.knee && Float.is_finite h.slope)
-      hinges
-  in
+  let hinges = List.filter finite_hinge hinges in
   (* Hinges left of the interval act on every point; hinges right of it
      never act. Interior knees become breakpoints. *)
   let base_slope =

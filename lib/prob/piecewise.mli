@@ -11,11 +11,21 @@
 
     All computations are stable for rates up to ~1e300 and intervals
     down to the denormal range: piece masses use [log1mexp] /
-    [Float.expm1], never bare [exp] differences. *)
+    [Float.expm1], never bare [exp] differences.
+
+    The Gibbs sweep does not call this module: its fused kernel
+    ([Qnet_core.Gibbs]) restates {!compile} and {!sample} for at most
+    three pieces in locals. This module is the general sampler and the
+    reference that kernel must match bit for bit. *)
 
 type hinge = { knee : float; slope : float }
 (** One term [slope · max 0. (x - knee)]: contributes nothing left of
     [knee] and linear growth [slope] (of either sign) right of it. *)
+
+val finite_hinge : hinge -> bool
+(** [true] when both the knee and the slope are finite. {!compile}
+    keeps only such hinges; a hinge failing it can only come from
+    corrupted upstream state. *)
 
 type t
 (** A compiled density. Immutable. *)

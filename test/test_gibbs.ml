@@ -18,6 +18,7 @@ module Quad = Qnet_numerics.Quadrature
 module Topologies = Qnet_des.Topologies
 module Rng = Qnet_prob.Rng
 module Trace = Qnet_trace.Trace
+module Stem = Qnet_core.Stem
 
 let check_close ?(eps = 1e-6) name expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -329,6 +330,245 @@ let test_fully_observed_sweep_noop () =
   let after = Array.init (Store.num_events store) (Store.departure store) in
   Alcotest.(check bool) "no latent events, no changes" true (before = after)
 
+(* ------------------------------------------------------------------ *)
+(* The fused kernel against the oracle.
+
+   [sample_event], [resample_event] and [sweep] run the fused kernel;
+   [local_density |> compile] and [Piecewise.sample] are the reference
+   it must reproduce bit for bit: same draw, same generator state. *)
+
+let oracle_draw rng store params f =
+  match Gibbs.compile (Gibbs.local_density store params f) with
+  | `Point x -> x
+  | `Tail (origin, rate) -> origin +. (-.log (Rng.float_pos rng) /. rate)
+  | `Bounded pw -> Piecewise.sample rng pw
+
+let outcome draw =
+  match draw () with
+  | x -> Ok (Int64.bits_of_float x)
+  | exception Invalid_argument m -> Error m
+
+(* Draw every latent event of [store] through both paths, from copies
+   of one generator, and compare the draws and the generators after. *)
+let check_fused_matches_oracle ~what rng store params =
+  Array.iter
+    (fun f ->
+      let r_fused = Rng.copy rng and r_oracle = Rng.copy rng in
+      let fused = outcome (fun () -> Gibbs.sample_event r_fused store params f) in
+      let oracle = outcome (fun () -> oracle_draw r_oracle store params f) in
+      if fused <> oracle then Alcotest.failf "%s: event %d draws differ" what f;
+      if Rng.state r_fused <> Rng.state r_oracle then
+        Alcotest.failf "%s: event %d leaves the generators in different states" what f;
+      ignore (Rng.bits64 rng))
+    (Store.unobserved_events store)
+
+(* neighbourhood shapes met while drawing, so the test can insist the
+   special cases were actually exercised *)
+type shapes = { mutable self_queued : int; mutable first_arrival : int; mutable final : int;
+                mutable multi_piece : int; mutable tail : int }
+
+let tally_shapes s store params =
+  Array.iter
+    (fun f ->
+      let e = Store.pi_inv store f in
+      if e < 0 then s.final <- s.final + 1
+      else if Store.rho store e = f then s.self_queued <- s.self_queued + 1
+      else if Store.rho store e < 0 then s.first_arrival <- s.first_arrival + 1;
+      match Gibbs.compile (Gibbs.local_density store params f) with
+      | `Bounded pw when List.length (Piecewise.pieces pw) > 1 -> s.multi_piece <- s.multi_piece + 1
+      | `Tail _ -> s.tail <- s.tail + 1
+      | _ -> ())
+    (Store.unobserved_events store)
+
+let test_fused_matches_oracle_stores () =
+  let total = { self_queued = 0; first_arrival = 0; final = 0; multi_piece = 0; tail = 0 } in
+  List.iter
+    (fun (what, store, params) ->
+      let rng = Rng.create ~seed:131 () in
+      (* the initial state, then states the sampler itself produced *)
+      for _ = 1 to 3 do
+        check_fused_matches_oracle ~what rng store params;
+        Gibbs.sweep ~shuffle:true rng store params
+      done;
+      tally_shapes total store params)
+    [
+      ("tandem", tandem_store ~seed:132 ~tasks:120 ~frac:0.2, true_params_tandem ());
+      ( "feedback",
+        feedback_store ~seed:133 ~tasks:150 ~frac:0.1,
+        Params.create ~rates:[| 3.0; 6.0 |] ~arrival_queue:0 );
+      ( "three-tier",
+        three_tier_store ~seed:134 ~tasks:120 ~frac:0.1,
+        Params.create ~rates:[| 9.0; 6.0; 6.0; 6.0; 6.0; 6.0 |] ~arrival_queue:0 );
+      ( "odd rates",
+        tandem_store ~seed:135 ~tasks:80 ~frac:0.3,
+        Params.create ~rates:[| 1.3; 22.0; 0.4 |] ~arrival_queue:0 );
+    ];
+  let covered name n = Alcotest.(check bool) (name ^ " covered") true (n > 0) in
+  covered "queue visited twice in a row (g = e)" total.self_queued;
+  covered "first arrival at the successor's queue" total.first_arrival;
+  covered "task's final event" total.final;
+  covered "several pieces" total.multi_piece;
+  covered "exponential tail" total.tail
+
+(* Two hinges with the same knee merge into one breakpoint. Tasks A
+   (q0 -> q1 -> q2), B (q0 -> q1 -> q2) and C (q0 -> q2); only A's
+   departure from q1 is latent. Its queue successor (B at q1) arrives
+   at 1.5, and its task successor's queue predecessor (C at q2)
+   departs at 1.5. *)
+let test_fused_equal_knees () =
+  let ev task state queue arrival departure = { Trace.task; state; queue; arrival; departure } in
+  let trace =
+    Trace.create ~num_queues:3
+      [
+        ev 0 0 0 0.0 1.0; ev 0 1 1 1.0 2.0; ev 0 2 2 2.0 4.0;
+        ev 1 0 0 0.0 1.5; ev 1 1 1 1.5 3.0; ev 1 2 2 3.0 5.0;
+        ev 2 0 0 0.0 0.2; ev 2 2 2 0.2 1.5;
+      ]
+  in
+  let mask = Array.init 8 (fun i -> i <> 1) in
+  let store = Store.of_trace ~observed:mask trace in
+  let params = Params.create ~rates:[| 1.0; 2.0; 3.0 |] ~arrival_queue:0 in
+  let ld = Gibbs.local_density store params 1 in
+  (match List.map (fun h -> h.Piecewise.knee) ld.Gibbs.hinges with
+  | [ kg; ke ] -> Alcotest.(check bool) "equal knees" true (Float.equal kg ke)
+  | ks -> Alcotest.failf "expected 2 hinges, got %d" (List.length ks));
+  (match Gibbs.compile ld with
+  | `Bounded pw -> Alcotest.(check int) "merged into two pieces" 2 (List.length (Piecewise.pieces pw))
+  | _ -> Alcotest.fail "expected a bounded window");
+  let rng = Rng.create ~seed:136 () in
+  for _ = 1 to 200 do
+    check_fused_matches_oracle ~what:"equal knees" rng store params
+  done
+
+(* A NaN or infinite neighbour: both paths degrade the same way. *)
+let test_fused_corrupt_neighbour () =
+  List.iter
+    (fun bad ->
+      let store = tandem_store ~seed:137 ~tasks:60 ~frac:0.2 in
+      let params = true_params_tandem () in
+      let latent = Store.unobserved_events store in
+      let s = Store.snapshot store in
+      Array.iteri (fun k f -> if k mod 7 = 3 then s.Store.s_departure.(f) <- bad) latent;
+      Store.restore store s;
+      check_fused_matches_oracle ~what:(Printf.sprintf "corrupt %g" bad) (Rng.create ~seed:138 ())
+        store params)
+    [ nan; neg_infinity; infinity ]
+
+(* [resample_event] writes exactly what [sample_event] draws, and a
+   sweep is [resample_event] over the latent events in order. *)
+let test_fused_write_back () =
+  let store = feedback_store ~seed:139 ~tasks:80 ~frac:0.1 in
+  let params = Params.create ~rates:[| 3.0; 6.0 |] ~arrival_queue:0 in
+  let by_event = Store.copy store in
+  let r_sweep = Rng.create ~seed:140 () in
+  let r_events = Rng.copy r_sweep in
+  Gibbs.sweep r_sweep store params;
+  Array.iter
+    (fun f ->
+      let expected = Gibbs.sample_event (Rng.copy r_events) by_event params f in
+      Gibbs.resample_event r_events by_event params f;
+      Alcotest.(check int64) "write-back" (Int64.bits_of_float expected)
+        (Int64.bits_of_float (Store.departure by_event f)))
+    (Store.unobserved_events by_event);
+  Alcotest.(check bool) "same departures" true
+    (Array.init (Store.num_events store) (Store.departure store)
+    = Array.init (Store.num_events by_event) (Store.departure by_event));
+  Alcotest.(check bool) "same generator state" true (Rng.state r_sweep = Rng.state r_events)
+
+(* A small StEM fit, pinned to the bits the unfused kernel produced:
+   the sampler's seeded output is part of its contract. *)
+let test_stem_pinned () =
+  let rng = Rng.create ~seed:2024 () in
+  let net = Topologies.tandem ~arrival_rate:6.0 ~service_rates:[ 8.0; 7.0 ] in
+  let _, _, store = Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.3) rng net 60 in
+  let config = { Stem.default_config with iterations = 20; burn_in = 10 } in
+  let result = Stem.run ~config rng store in
+  Alcotest.(check (array int64)) "mean_service bits"
+    [| 0x3fc527875d938baaL; 0x3fc0b8a4340ddaf1L; 0x3fc3d68b1a730483L |]
+    (Array.map Int64.bits_of_float result.Stem.mean_service);
+  Alcotest.(check (array int64)) "generator state"
+    [| 0x288baa8e70dde098L; 0x8e6066659861eed2L; 0x719b6bc08e87fd12L; 0xa801ac7689713500L |]
+    (Rng.state rng)
+
+(* The plain sweep allocates nothing per event but the boxed floats
+   its uniform draws return (16 B each, at most two per event). *)
+let test_sweep_allocation () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let store = tandem_store ~seed:141 ~tasks:2000 ~frac:0.05 in
+      let params = true_params_tandem () in
+      let rng = Rng.create ~seed:142 () in
+      let latent = Array.length (Store.unobserved_events store) in
+      List.iter
+        (fun shuffle ->
+          Gibbs.sweep ~shuffle rng store params;
+          let w0 = Gc.minor_words () in
+          for _ = 1 to 3 do
+            Gibbs.sweep ~shuffle rng store params
+          done;
+          let bytes = (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8) in
+          let per_event = bytes /. float_of_int (3 * latent) in
+          if per_event > 64.0 then
+            Alcotest.failf "sweep (shuffle=%b) allocates %.1f B per latent event (budget 64)"
+              shuffle per_event)
+        [ false; true ]
+  | _ -> Alcotest.skip ()
+
+(* ------------------------------------------------------------------ *)
+(* Simulation-based calibration. The simulated truth is an exact draw
+   from the posterior the sampler targets (given the observed
+   departures, the paths and the arrival orders), so its rank among
+   posterior draws is uniform. Placing the truth at a uniformly chosen
+   position [k] of a chain segment — run [k] thinned steps backward and
+   [draws - k] forward from it, which is exact because a shuffled sweep
+   is reversible — makes the rank exactly uniform however strongly the
+   draws are correlated. *)
+let test_simulation_based_calibration () =
+  let draws = 19 and thin = 3 and replicates = 800 and per_replicate = 2 in
+  let bins = Array.make (draws + 1) 0 in
+  let net = Topologies.tandem ~arrival_rate:5.0 ~service_rates:[ 8.0; 6.5 ] in
+  let params = Params.create ~rates:[| 5.0; 8.0; 6.5 |] ~arrival_queue:0 in
+  for r = 1 to replicates do
+    let rng = Rng.create ~seed:(9000 + r) () in
+    let _, _, truth = Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.2) rng net 25 in
+    let latent = Store.unobserved_events truth in
+    let events = Array.init per_replicate (fun _ -> latent.(Rng.int rng (Array.length latent))) in
+    let k = Rng.int rng (draws + 1) in
+    let below = Array.make per_replicate 0 and ties = Array.make per_replicate 0 in
+    let record store =
+      Array.iteri
+        (fun j f ->
+          let x = Store.departure store f and t = Store.departure truth f in
+          if x < t then below.(j) <- below.(j) + 1
+          else if Float.equal x t then ties.(j) <- ties.(j) + 1)
+        events
+    in
+    let segment steps =
+      let store = Store.copy truth and chain = Rng.split rng in
+      for _ = 1 to steps do
+        Gibbs.run ~shuffle:true ~sweeps:thin chain store params;
+        record store
+      done
+    in
+    segment k;
+    segment (draws - k);
+    Array.iteri
+      (fun j _ ->
+        let rank = below.(j) + Rng.int rng (ties.(j) + 1) in
+        bins.(rank) <- bins.(rank) + 1)
+      events
+  done;
+  let expected = float_of_int (replicates * per_replicate) /. float_of_int (draws + 1) in
+  let chi2 =
+    Array.fold_left
+      (fun acc o -> acc +. (((float_of_int o -. expected) ** 2.0) /. expected))
+      0.0 bins
+  in
+  (* 0.999 quantile of chi-squared with 19 degrees of freedom *)
+  if chi2 > 43.82 then
+    Alcotest.failf "rank histogram not uniform: chi2 = %.2f > 43.82 (%s)" chi2
+      (String.concat " " (Array.to_list (Array.map string_of_int bins)))
+
 let () =
   Alcotest.run "qnet_gibbs"
     [
@@ -358,4 +598,18 @@ let () =
           Alcotest.test_case "run sweep counts" `Quick test_run_sweeps_count;
           Alcotest.test_case "fully observed noop" `Quick test_fully_observed_sweep_noop;
         ] );
+      ( "fused",
+        [
+          Alcotest.test_case "matches oracle on seeded stores" `Quick
+            test_fused_matches_oracle_stores;
+          Alcotest.test_case "matches oracle with equal knees" `Quick test_fused_equal_knees;
+          Alcotest.test_case "matches oracle on a corrupt neighbourhood" `Quick
+            test_fused_corrupt_neighbour;
+          Alcotest.test_case "write-back and sweep order" `Quick test_fused_write_back;
+          Alcotest.test_case "pinned StEM fit" `Quick test_stem_pinned;
+          Alcotest.test_case "sweep allocation budget" `Quick test_sweep_allocation;
+        ] );
+      ( "calibration",
+        [ Alcotest.test_case "simulation-based calibration" `Quick test_simulation_based_calibration ]
+      );
     ]

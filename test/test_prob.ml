@@ -57,6 +57,43 @@ let test_rng_split_diverges () =
   done;
   Alcotest.(check bool) "split streams differ" true (!same < 4)
 
+(* Known-answer vectors, recorded from the record-of-int64 generator
+   this one replaced: the stream, [split], [int], [float_unit] and the
+   [state] words must not move, or checkpoints stop resuming bit for
+   bit and every seeded figure shifts. *)
+let check_words name expected actual =
+  Alcotest.(check (array int64)) name expected actual
+
+let test_rng_known_answers () =
+  let draw8 t = Array.init 8 (fun _ -> Rng.bits64 t) in
+  check_words "create ~seed:42"
+    [| 0xd0764d4f4476689fL; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL; 0xb37d9f600cd835b8L;
+       0xcb231c3874846a73L; 0x968d9f004e50de7dL; 0x201718ff221a3556L; 0x9ae94e070ed8cb46L |]
+    (draw8 (Rng.create ~seed:42 ()));
+  check_words "of_state [|1;2;3;4|]"
+    [| 0x0000000002800001L; 0x0000000003800067L; 0x000cc00003800067L; 0x000cc201994400b2L;
+       0x8012a2019ac433cdL; 0x8a69978acdee33baL; 0xc271134733154abdL; 0xac2ba09179169e97L |]
+    (draw8 (Rng.of_state [| 1L; 2L; 3L; 4L |]));
+  let parent = Rng.create ~seed:42 () in
+  let child = Rng.split parent in
+  check_words "split child"
+    [| 0x6d1309d31ba18212L; 0x118955bd4636a065L; 0xdf2cf0b5ae47dbc4L; 0x2bedc9f235dc2366L |]
+    (Rng.state child);
+  Alcotest.(check int64) "split advances the parent once" 0x519e4174576f3791L (Rng.bits64 parent);
+  let t = Rng.create ~seed:42 () in
+  Alcotest.(check (list int)) "int t 7" [ 0; 5; 3; 6; 5; 5; 3; 0; 0; 1 ]
+    (List.init 10 (fun _ -> Rng.int t 7));
+  check_words "float_unit bits"
+    [| 0x3fe1e7bf530041cfL; 0x3feb3371c00f25e6L; 0x3fe5c29cee0a86b3L; 0x3fb1ccbfbb365908L |]
+    (Array.init 4 (fun _ -> Int64.bits_of_float (Rng.float_unit t)));
+  let mid = Rng.state t in
+  check_words "mid-stream state"
+    [| 0x766971fd77be6a96L; 0x7596504363602061L; 0xde45760a4b737d36L; 0xae82dde414fd445aL |]
+    mid;
+  let resumed = Rng.of_state mid in
+  Alcotest.(check int64) "of_state resumes the stream" 0x672fcfd4efd0e0bdL (Rng.bits64 resumed);
+  Alcotest.(check int64) "original agrees" 0x672fcfd4efd0e0bdL (Rng.bits64 t)
+
 let test_float_unit_range () =
   let rng = Rng.create ~seed:11 () in
   for _ = 1 to 10_000 do
@@ -885,6 +922,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "copy independence" `Quick test_rng_copy_independent;
           Alcotest.test_case "split diverges" `Quick test_rng_split_diverges;
+          Alcotest.test_case "known-answer vectors" `Quick test_rng_known_answers;
           Alcotest.test_case "float_unit range" `Quick test_float_unit_range;
           Alcotest.test_case "float_pos range" `Quick test_float_pos_range;
           Alcotest.test_case "float_unit mean" `Quick test_float_unit_mean;

@@ -478,6 +478,31 @@ let test_compile_filters_nan_hinges () =
       done
   | _ -> Alcotest.fail "finite window with salvageable hinges must stay bounded"
 
+(* The oracle density skips the hinges compile drops, so it agrees with
+   the compiled density up to the normalizing constant. *)
+let test_log_conditional_filters_nan_hinges () =
+  let ld =
+    mk ~lower:0.0 ~upper:1.0 ~linear:(-0.5)
+      ~hinges:
+        [
+          { Piecewise.knee = nan; slope = 5.0 };
+          { Piecewise.knee = 0.5; slope = infinity };
+          { Piecewise.knee = 0.5; slope = -1.0 };
+        ]
+      ()
+  in
+  match Gibbs.compile ld with
+  | `Bounded pw ->
+      let xs = [ 0.0; 0.1; 0.25; 0.5; 0.6; 0.9; 1.0 ] in
+      List.iter
+        (fun x ->
+          let oracle = Gibbs.log_conditional ld x -. Gibbs.log_conditional ld 0.0 in
+          let compiled = Piecewise.log_density pw x -. Piecewise.log_density pw 0.0 in
+          if not (Float.abs (oracle -. compiled) <= 1e-12) then
+            Alcotest.failf "x = %g: log_conditional difference %g, compiled %g" x oracle compiled)
+        xs
+  | _ -> Alcotest.fail "expected a bounded window"
+
 (* An adversarial sweep: corrupt one latent to -inf via snapshot (NaN
    neighbourhoods collapse to points) and check a full sweep neither
    raises nor writes NaN. *)
@@ -494,6 +519,30 @@ let test_sweep_survives_corrupt_neighbourhood () =
   Array.iter
     (fun x -> Alcotest.(check bool) "no NaN written" true (not (Float.is_nan x)))
     d
+
+(* The tail case: a latent event last in its task and last at its
+   queue has only its own service term, an exponential tail from its
+   service start. A NaN π-predecessor makes that origin NaN; the move
+   must leave the departure unchanged rather than write NaN. *)
+let test_tail_with_corrupt_origin () =
+  let ev task state queue arrival departure = { Trace.task; state; queue; arrival; departure } in
+  let trace =
+    Trace.create ~num_queues:2
+      [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.0 2.0; ev 1 0 0 0.0 1.5; ev 1 1 1 1.5 3.0 ]
+  in
+  let store = Store.of_trace ~observed:[| true; true; true; false |] trace in
+  let params = Params.create ~rates:[| 1.0; 4.0 |] ~arrival_queue:0 in
+  let s = Store.snapshot store in
+  s.Store.s_departure.(2) <- nan;
+  Store.restore store s;
+  (match Gibbs.compile (Gibbs.local_density store params 3) with
+  | `Point x -> check_bits "oracle keeps the departure" 3.0 x
+  | _ -> Alcotest.fail "expected a point at the current departure");
+  let rng = Rng.create ~seed:27 () in
+  Gibbs.resample_event rng store params 3;
+  check_bits "resample_event keeps the departure" 3.0 (Store.departure store 3);
+  Gibbs.sweep rng store params;
+  check_bits "sweep keeps the departure" 3.0 (Store.departure store 3)
 
 (* ------------------------------------------------------------------ *)
 (* Welford NaN robustness *)
@@ -559,8 +608,11 @@ let () =
         [
           Alcotest.test_case "degenerate windows" `Quick test_compile_degenerate_windows;
           Alcotest.test_case "nan hinges filtered" `Quick test_compile_filters_nan_hinges;
+          Alcotest.test_case "log_conditional filters nan hinges" `Quick
+            test_log_conditional_filters_nan_hinges;
           Alcotest.test_case "sweep survives corruption" `Quick
             test_sweep_survives_corrupt_neighbourhood;
+          Alcotest.test_case "tail with corrupt origin" `Quick test_tail_with_corrupt_origin;
         ] );
       ( "welford",
         [

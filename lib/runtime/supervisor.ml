@@ -184,9 +184,75 @@ let ks_outlier_scores chains =
 (* Per-chain supervised state.                                         *)
 (* ------------------------------------------------------------------ *)
 
-type armed_fault = { spec : Fault.chain_fault; mutable fired : bool }  (* qnet-lint: racy-ok C001 flipped by the round domain, read by the supervisor only between rounds (join is the barrier) *)
+type armed_fault = { spec : Fault.chain_fault; mutable fired : bool }  (* qnet-lint: racy-ok C001 flipped by the chain domain between the mailbox's Go and the heartbeat's done flag; the supervisor reads it only between rounds *)
 
 type round_outcome = Round_ok | Round_crashed of string
+
+(* What the supervisor hands a chain's domain between rounds. [Quit] is
+   final: it overrides a [Go] the chain has not taken yet, and the
+   chain leaves it in place when it exits. *)
+type command = Go of int  (* run until this iteration *) | Quit
+
+type mailbox = {
+  lock : Mutex.t;
+  posted : Condition.t;
+  mutable command : command option;
+}
+
+let post mb c =
+  Mutex.protect mb.lock (fun () ->
+      if mb.command <> Some Quit then mb.command <- Some c;
+      Condition.signal mb.posted)
+
+let take mb =
+  Mutex.protect mb.lock (fun () ->
+      while mb.command = None do
+        Condition.wait mb.posted mb.lock
+      done;
+      let c = Option.get mb.command in
+      if c <> Quit then mb.command <- None;
+      c)
+
+(* The run's wake channel: a chain writes one byte after marking its
+   round done, and the supervisor waits on the read end with
+   [poll_interval] as the timeout (OCaml 5.1's [Condition] has no timed
+   wait). A byte left over from an earlier round costs one extra poll.
+   The fds are reference-counted so that a zombie chain finishing its
+   round while the run shuts down never writes to a closed (or
+   recycled) descriptor: the last holder closes both. *)
+module Wake = struct
+  type t = { rd : Unix.file_descr; wr : Unix.file_descr; holders : int Atomic.t }
+
+  let create () =
+    let rd, wr = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock wr;
+    { rd; wr; holders = Atomic.make 1 }
+
+  let rec retain t =
+    let n = Atomic.get t.holders in
+    n > 0 && (Atomic.compare_and_set t.holders n (n + 1) || retain t)
+
+  let release t =
+    if Atomic.fetch_and_add t.holders (-1) = 1 then begin
+      Unix.close t.rd;
+      Unix.close t.wr
+    end
+
+  (* A full pipe already holds a pending wake, and a lost one costs at
+     most one [poll_interval]: write errors are ignored. *)
+  let signal t =
+    if retain t then begin
+      (try ignore (Unix.single_write t.wr (Bytes.make 1 '\000') 0 1)
+       with Unix.Unix_error _ -> ());
+      release t
+    end
+
+  let wait t timeout =
+    match Unix.select [ t.rd ] [] [] timeout with
+    | [], _, _ -> ()
+    | _ -> ignore (Unix.read t.rd (Bytes.create 64) 0 64)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+end
 
 type chain_state = {
   id : int;
@@ -203,18 +269,19 @@ type chain_state = {
   hb : Watchdog.Heartbeat.t;
   age_gauge : Metrics.Gauge.t;
   cancel : bool Atomic.t;
+  mailbox : mailbox;
   faults : armed_fault array;
-  mutable params : Params.t;  (* qnet-lint: racy-ok C001 round-barrier hand-off: the spawned round domain owns st until join; supervisor touches it only between rounds *)
-  mutable it : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable restarts : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable incidents : (int * string) list;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable status : chain_status;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable last_good : Checkpoint.t option;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable outcome : round_outcome;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable stall_flagged : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable abandoned : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable warmed : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable welford : Welford.t array;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
+  mutable params : Params.t;  (* qnet-lint: racy-ok C001 round hand-off: the chain domain owns st from the mailbox's Go until it sets the heartbeat's done flag; the supervisor touches it only between rounds *)
+  mutable it : int;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable restarts : int;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable incidents : (int * string) list;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable status : chain_status;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable last_good : Checkpoint.t option;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable outcome : round_outcome;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable stall_flagged : bool;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable abandoned : bool;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable warmed : bool;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable welford : Welford.t array;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
 }
 
 (* Same clamped time source as Runtime.now: watchdog deadlines and
@@ -243,6 +310,8 @@ let init_chain cfg ~seed ~init make_store faults id =
       hb = Watchdog.Heartbeat.create ();
       age_gauge = m_heartbeat_age id;
       cancel = Atomic.make false;
+      mailbox =
+        { lock = Mutex.create (); posted = Condition.create (); command = None };
       faults =
         List.filter (fun f -> f.Fault.chain = id) faults
         |> List.map (fun spec -> { spec; fired = false })
@@ -353,6 +422,19 @@ let run_round cfg st ~stop_at =
      done
    with exn -> st.outcome <- Round_crashed (Printexc.to_string exn));
   Watchdog.Heartbeat.mark_done st.hb
+
+(* A chain's domain for the whole run: one round per [Go], then a wake
+   for the supervisor, until [Quit]. *)
+let chain_worker cfg st wake =
+  let rec loop () =
+    match take st.mailbox with
+    | Quit -> ()
+    | Go stop_at ->
+        run_round cfg st ~stop_at;
+        Wake.signal wake;
+        loop ()
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Barrier-side control: recovery, health checks, divergence.          *)
@@ -524,10 +606,10 @@ let divergence_pass cfg chains =
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog loop: poll heartbeats until every chain in the round is    *)
-(* done or abandoned.                                                  *)
+(* done or abandoned, waking early when a chain finishes.              *)
 (* ------------------------------------------------------------------ *)
 
-let watch cfg runnable =
+let watch cfg wake runnable =
   let arr = Array.of_list runnable in
   let wd =
     Watchdog.create ~deadline:cfg.sweep_deadline
@@ -587,7 +669,7 @@ let watch cfg runnable =
             end
         | _ -> ())
       verdicts;
-    if not (all_settled ()) then Unix.sleepf cfg.poll_interval
+    if not (all_settled ()) then Wake.wait wake cfg.poll_interval
   done;
   if instrumented then begin
     let n = Watchdog.misses wd in
@@ -612,8 +694,10 @@ let verdict_of st =
     status = st.status;
     iterations_done =
       (* an abandoned chain's [it] races with its zombie domain; the
-         heartbeat's sweep index is the last trustworthy reading *)
-      (if st.abandoned then snd (Watchdog.Heartbeat.last st.hb) else st.it);
+         heartbeat's sweep index is the last trustworthy reading, and
+         warm-up sweeps beat negative indices *)
+      (if st.abandoned then Stdlib.max 0 (snd (Watchdog.Heartbeat.last st.hb))
+       else st.it);
     restarts = st.restarts;
     heartbeats = Watchdog.Heartbeat.beats st.hb;
     violations = Health.of_accumulator merged;
@@ -734,24 +818,9 @@ let export_diag_statuses chains =
         (chain_status_string st.status))
     chains
 
-let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
-  validate config faults;
-  if Metrics.enabled () then begin
-    register_metrics ();
-    Diagnostics.register_metrics ();
-    Diagnostics.reset Diagnostics.default;
-    Diagnostics.set_ensemble_status Diagnostics.default "running"
-  end;
-  Span.with_span "supervisor.run"
-    ~attrs:[ ("chains", string_of_int config.chains) ]
-  @@ fun () ->
-  let t0 = now () in
-  let chains =
-    Array.init config.chains (init_chain config ~seed ~init make_store faults)
-  in
-  if Metrics.enabled () then
-    Diagnostics.set_arrival_queue Diagnostics.default
-      chains.(0).anchor.Params.arrival_queue;
+(* Rounds until no chain is runnable: each round hands every runnable
+   chain its [Go], watches, then takes every barrier decision. *)
+let run_rounds config wake chains =
   let iterations = config.stem.Stem.iterations in
   let continue_ = ref true in
   let round = ref 0 in
@@ -772,23 +841,11 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
           Atomic.set st.cancel false;
           st.stall_flagged <- false;
           st.outcome <- Round_ok;
-          Watchdog.Heartbeat.arm st.hb ~now:t)
+          Watchdog.Heartbeat.arm st.hb ~now:t;
+          post st.mailbox
+            (Go (Stdlib.min iterations (st.it + config.round_iterations))))
         runnable;
-      let doms =
-        List.map
-          (fun st ->
-            let stop_at =
-              Stdlib.min iterations (st.it + config.round_iterations)
-            in
-            (st, Domain.spawn (fun () -> run_round config st ~stop_at)))
-          runnable
-      in
-      let abandoned = watch config runnable in
-      (* Join everything that reached its barrier; abandoned domains
-         are leaked on purpose — joining would block forever. *)
-      List.iter
-        (fun (st, d) -> if not (List.memq st abandoned) then Domain.join d)
-        doms;
+      let abandoned = watch config wake runnable in
       List.iter
         (fun st ->
           if List.memq st abandoned then begin
@@ -815,7 +872,49 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
         Diagnostics.gc_tick Diagnostics.default
       end
     end
-  done;
+  done
+
+let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
+  validate config faults;
+  if Metrics.enabled () then begin
+    register_metrics ();
+    Diagnostics.register_metrics ();
+    Diagnostics.reset Diagnostics.default;
+    Diagnostics.set_ensemble_status Diagnostics.default "running"
+  end;
+  Span.with_span "supervisor.run"
+    ~attrs:[ ("chains", string_of_int config.chains) ]
+  @@ fun () ->
+  let t0 = now () in
+  let chains =
+    Array.init config.chains (init_chain config ~seed ~init make_store faults)
+  in
+  if Metrics.enabled () then
+    Diagnostics.set_arrival_queue Diagnostics.default
+      chains.(0).anchor.Params.arrival_queue;
+  (* One domain per chain for the whole run, spawned once its store is
+     built and initialised; it blocks on its mailbox between rounds. On
+     every exit path each one is told to quit and joined — except an
+     abandoned zombie, which exits by itself once its round returns —
+     and the run lets go of its wake channel. *)
+  let wake = Wake.create () in
+  let workers = ref [] in
+  let shutdown () =
+    List.iter
+      (fun (st, _) ->
+        Atomic.set st.cancel true;
+        post st.mailbox Quit)
+      !workers;
+    List.iter (fun (st, d) -> if not st.abandoned then Domain.join d) !workers;
+    Wake.release wake
+  in
+  Fun.protect ~finally:shutdown (fun () ->
+      Array.iter
+        (fun st ->
+          workers :=
+            (st, Domain.spawn (fun () -> chain_worker config st wake)) :: !workers)
+        chains;
+      run_rounds config wake chains);
   let r = finalize config chains t0 in
   if Metrics.enabled () then begin
     export_diag_statuses chains;

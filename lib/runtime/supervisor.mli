@@ -13,11 +13,17 @@
     per-chain verdict either way.
 
     {b Execution model.} Chains advance in {e rounds} of
-    [round_iterations] StEM iterations. Each round the supervisor
-    spawns one domain per active chain, polls heartbeats while they
-    run, and joins them at a barrier where all control decisions
-    happen: health checks, checkpoint capture, crash/stall recovery,
-    divergence quarantine. Putting every decision at a deterministic
+    [round_iterations] StEM iterations. Each chain runs on one domain
+    for the whole run, spawned once its store is built and initialised
+    on the calling domain; between rounds the domain waits on a
+    per-chain mailbox. Each round the supervisor tells every active
+    chain how far to go, watches heartbeats while they run, and wakes
+    as soon as the last chain marks its round done (at the latest after
+    [poll_interval]). It then reaches a barrier where all control
+    decisions happen: health checks, checkpoint capture, crash/stall
+    recovery, divergence quarantine. Every domain the run spawned is
+    told to quit and joined before {!run} returns or raises, except an
+    abandoned one. Putting every decision at a deterministic
     barrier (rather than in racing signal handlers) means a run with a
     fixed seed and no faults makes identical decisions every time, and
     unfaulted chains are bit-for-bit reproducible even when sibling
@@ -28,8 +34,9 @@
     {b Stalls.} An OCaml domain cannot be preempted. A stalled chain
     is cancelled cooperatively (a flag it checks at each iteration
     boundary); one that never reaches a boundary is abandoned after
-    [stall_grace] seconds and its domain deliberately leaked — the
-    price of never blocking the healthy majority on a zombie. *)
+    [stall_grace] seconds: it is told to quit but never joined, so its
+    domain outlives the run until the zombie returns — the price of
+    never blocking the healthy majority on it. *)
 
 type config = {
   chains : int;  (** number of independent chains (default 4) *)
@@ -44,7 +51,8 @@ type config = {
       (** watchdog deadline in seconds between heartbeats; a chain
           quieter than this is stalled (default 5.0) *)
   poll_interval : float;
-      (** supervisor heartbeat-polling period in seconds
+      (** longest the supervisor sleeps between heartbeat checks, in
+          seconds; a chain finishing its round wakes it sooner
           (default 0.005) *)
   stall_grace : float;
       (** seconds a stalled chain may ignore cancellation before its

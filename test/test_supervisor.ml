@@ -361,6 +361,125 @@ let test_zombie_abandoned () =
   (* give the zombie time to wake up and exit before the process does *)
   Unix.sleepf 0.4
 
+(* Fixed-seed output of an unfaulted 2-chain, 5-round run, recorded
+   from the build whose rounds each spawned fresh domains: moving the
+   chains onto run-long domains must not change a bit. *)
+let test_pinned_supervised_output () =
+  let cfg = sup_config ~chains:2 ~min_chains:2 () in
+  let r = Supervisor.run ~config:cfg ~seed:23 make_store in
+  let bits name expected got =
+    Alcotest.(check (array string)) name expected
+      (Array.map (Printf.sprintf "%h") got)
+  in
+  bits "mean_service"
+    [| "0x1.e1ccac8cb3d2bp-4"; "0x1.2a3f01d47c05ap-4"; "0x1.7c614486341f2p-4" |]
+    r.Supervisor.mean_service;
+  bits "rhat"
+    [| "0x1.ea33e2c83c14p-1"; "0x1.2e5f42d99b9b7p+0"; "0x1.149af9cb2fec8p+0" |]
+    r.Supervisor.rhat;
+  bits "ess"
+    [| "0x1.00e45932d7dc5p+1"; "0x1.4d968cd280128p+4"; "0x1.20f1e0d70748dp+5" |]
+    r.Supervisor.ess;
+  Array.iter
+    (fun v ->
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "chain %d iterations, heartbeats, restarts" v.Supervisor.chain)
+        (36, 41, 0)
+        (v.Supervisor.iterations_done, v.Supervisor.heartbeats, v.Supervisor.restarts))
+    r.Supervisor.verdicts
+
+(* A round ends when its chains finish, not at the supervisor's next
+   poll tick: five rounds under a 1 s poll interval take far less than
+   the five ticks a sleeping supervisor would need. *)
+let test_rounds_end_without_poll_tick () =
+  let cfg =
+    {
+      (sup_config ~chains:2 ~iterations:10 ~burn_in:4 ~round_iterations:2 ()) with
+      Supervisor.poll_interval = 1.0;
+    }
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = Supervisor.run ~config:cfg ~seed:7 make_store in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "5 rounds in %.3fs < 2.5s" wall) true (wall < 2.5);
+  Array.iter
+    (fun v -> Alcotest.(check int) "full run" 10 v.Supervisor.iterations_done)
+    r.Supervisor.verdicts
+
+(* A chain abandoned while still warming up has beaten only negative
+   (warm-up) sweep indices; its verdict must not report negative
+   iterations. The assertion holds whether or not the chain is
+   abandoned. *)
+let test_abandoned_in_warmup_iterations () =
+  let rng = Rng.create ~seed:41 () in
+  let _, _, store =
+    Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.5) rng (tandem_net ()) 10_000
+  in
+  let cfg =
+    {
+      (sup_config ~chains:1 ~min_chains:1 ~iterations:4 ~burn_in:1 ~round_iterations:2
+         ~deadline:0.001 ~grace:0.0 ()) with
+      Supervisor.poll_interval = 0.001;
+    }
+  in
+  let r = Supervisor.run ~config:cfg ~seed:3 (fun () -> Store.copy store) in
+  Array.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "chain %d iterations_done %d >= 0" v.Supervisor.chain
+           v.Supervisor.iterations_done)
+        true
+        (v.Supervisor.iterations_done >= 0))
+    r.Supervisor.verdicts
+
+(* OCaml hands every new domain the next id, so the ids of two probe
+   domains bracket how many domains a run spawned in between. *)
+let probe_domain_id () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+let test_one_domain_per_chain () =
+  let cfg = sup_config ~chains:2 ~min_chains:2 () in
+  let before = probe_domain_id () in
+  let r = Supervisor.run ~config:cfg ~seed:23 make_store in
+  let spawned = probe_domain_id () - before - 1 in
+  Alcotest.(check bool) "quorum" true (r.Supervisor.status = Supervisor.Quorum);
+  Alcotest.(check int) "domains spawned over 5 rounds" 2 spawned
+
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+(* Each run spawns one domain per chain and joins them all before it
+   returns: a domain leaked per run would hit OCaml's 128-domain cap
+   well before 150 runs, and a leaked wake pipe would show in the
+   process's open descriptors. *)
+let test_back_to_back_runs () =
+  let cfg =
+    sup_config ~chains:2 ~min_chains:2 ~iterations:2 ~burn_in:1 ~round_iterations:1 ()
+  in
+  let before = open_fds () in
+  for i = 1 to 150 do
+    let r = Supervisor.run ~config:cfg ~seed:i make_store in
+    if r.Supervisor.status <> Supervisor.Quorum then
+      Alcotest.failf "run %d ended %a" i Supervisor.pp_ensemble_status r.Supervisor.status
+  done;
+  Alcotest.(check (option int)) "no descriptor outlives a run" before (open_fds ())
+
+let test_run_after_zombie () =
+  let zombie =
+    Supervisor.run
+      ~config:(sup_config ~chains:3 ~min_chains:2 ~deadline:0.05 ~grace:0.02 ())
+      ~faults:[ { Fault.chain = 1; at_iteration = 4; kind = Fault.Chain_stall 0.3 } ]
+      ~seed:7 make_store
+  in
+  Alcotest.(check bool) "zombie run reaches quorum" true
+    (zombie.Supervisor.status = Supervisor.Quorum);
+  let r = Supervisor.run ~config:(sup_config ~chains:2 ()) ~seed:7 make_store in
+  Alcotest.(check bool) "next run reaches quorum" true (r.Supervisor.status = Supervisor.Quorum);
+  Array.iter
+    (fun v -> Alcotest.(check int) "full run" 36 v.Supervisor.iterations_done)
+    r.Supervisor.verdicts;
+  Unix.sleepf 0.4
+
 let test_config_validation () =
   let raises msg f =
     match f () with
@@ -442,5 +561,18 @@ let () =
           Alcotest.test_case "zombie abandoned" `Quick test_zombie_abandoned;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "fault spec parsing" `Quick test_chain_fault_parsing;
+          Alcotest.test_case "pinned unfaulted output" `Quick
+            test_pinned_supervised_output;
+          Alcotest.test_case "abandoned in warm-up reports no negative iterations"
+            `Quick test_abandoned_in_warmup_iterations;
+        ] );
+      ( "lifecycle",
+        [
+          Alcotest.test_case "rounds end without the poll tick" `Quick
+            test_rounds_end_without_poll_tick;
+          Alcotest.test_case "one domain per chain per run" `Quick
+            test_one_domain_per_chain;
+          Alcotest.test_case "150 back-to-back runs" `Quick test_back_to_back_runs;
+          Alcotest.test_case "run after a zombie" `Quick test_run_after_zombie;
         ] );
     ]

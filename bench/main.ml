@@ -190,9 +190,9 @@ let median_rate ~repeats ~work ~per_repeat =
    observation). The 1k rung IS the historical fig4 fixture, so its
    sweeps/s stays comparable across baselines. The larger stores skip
    Init.feasible on purpose — a simulated trace is already a feasible
-   latent configuration (it is the ground truth), and the
-   difference-constraint initializer costs ~80s at 1M events, which
-   would be the bench timing the initializer instead of the sweep. *)
+   latent configuration (it is the ground truth), and the Targeted
+   initializer costs 0.74-0.92 s at 1M latent events (2-core host,
+   OCaml 5.1.1), set-up time that is not the sweep's. *)
 type size_spec = {
   label : string;
   tasks : int;

@@ -36,27 +36,39 @@ let of_trace ?observed trace =
           invalid_arg "Event_store.of_trace: observed mask length mismatch";
         Array.copy o
   in
+  (* Dense task index: the distinct ids ascending, then a binary
+     search per event. *)
   let task_ids =
-    let seen = Hashtbl.create 64 in
-    let acc = ref [] in
-    Array.iter
-      (fun e ->
-        if not (Hashtbl.mem seen e.Trace.task) then begin
-          Hashtbl.add seen e.Trace.task ();
-          acc := e.Trace.task :: !acc
-        end)
-      events;
-    let a = Array.of_list !acc in
-    Array.sort compare a;
-    a
+    let ids = Array.map (fun e -> e.Trace.task) events in
+    Array.stable_sort Int.compare ids;
+    let distinct = ref 1 in
+    for i = 1 to n - 1 do
+      if ids.(i) <> ids.(!distinct - 1) then begin
+        ids.(!distinct) <- ids.(i);
+        incr distinct
+      end
+    done;
+    Array.sub ids 0 !distinct
   in
-  let task_index = Hashtbl.create (Array.length task_ids) in
-  Array.iteri (fun i id -> Hashtbl.add task_index id i) task_ids;
-  let task = Array.map (fun e -> Hashtbl.find task_index e.Trace.task) events in
+  let num_tasks = Array.length task_ids in
+  let task_index id =
+    (* the last index whose id is <= [id], which is [id]'s *)
+    let lo = ref 0 and hi = ref num_tasks in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if task_ids.(mid) <= id then lo := mid else hi := mid
+    done;
+    !lo
+  in
+  let task = Array.map (fun e -> task_index e.Trace.task) events in
   let state = Array.map (fun e -> e.Trace.state) events in
   let queue = Array.map (fun e -> e.Trace.queue) events in
-  let departure = Array.map (fun e -> e.Trace.departure) events in
-  let arrival0 = Array.map (fun e -> e.Trace.arrival) events in
+  (* loops, not Array.map: a closure's float result would be boxed *)
+  let departure = Array.make n 0.0 and arrival0 = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    departure.(i) <- events.(i).Trace.departure;
+    arrival0.(i) <- events.(i).Trace.arrival
+  done;
   (* Within-task chains: events are sorted by (task, arrival). *)
   let pi = Array.make n (-1) in
   let pi_inv = Array.make n (-1) in
@@ -66,20 +78,30 @@ let of_trace ?observed trace =
       pi_inv.(i - 1) <- i
     end
   done;
-  (* Group by task. *)
-  let num_tasks = Array.length task_ids in
-  let by_task =
-    let buckets = Array.make num_tasks [] in
-    for i = n - 1 downto 0 do
-      buckets.(task.(i)) <- i :: buckets.(task.(i))
+  (* [buckets key k] groups the indices 0..n-1 by [key] (in 0..k-1) by
+     counting: bucket b is [flat.(offset.(b)) .. flat.(offset.(b+1) - 1)],
+     ascending. *)
+  let buckets key k =
+    let offset = Array.make (k + 1) 0 in
+    for i = 0 to n - 1 do
+      offset.(key.(i) + 1) <- offset.(key.(i) + 1) + 1
     done;
-    Array.map Array.of_list buckets
+    for b = 1 to k do
+      offset.(b) <- offset.(b) + offset.(b - 1)
+    done;
+    let flat = Array.make n 0 and fill = Array.sub offset 0 k in
+    for i = 0 to n - 1 do
+      let b = key.(i) in
+      flat.(fill.(b)) <- i;
+      fill.(b) <- fill.(b) + 1
+    done;
+    Array.init k (fun b -> Array.sub flat offset.(b) (offset.(b + 1) - offset.(b)))
   in
+  let by_task = buckets task num_tasks in
   (* Initial events must be first per task and at a common queue. *)
   let arrival_queue = queue.(by_task.(0).(0)) in
   Array.iter
     (fun evs ->
-      if Array.length evs = 0 then invalid_arg "Event_store.of_trace: empty task";
       let first = evs.(0) in
       if not (Float.equal arrival0.(first) 0.0) then
         invalid_arg "Event_store.of_trace: task without initial event";
@@ -87,35 +109,24 @@ let of_trace ?observed trace =
         invalid_arg "Event_store.of_trace: inconsistent arrival queue";
       (* Only initial events may sit at the arrival queue: routing back
          to q0 would break the paper's convention. *)
-      Array.iteri
-        (fun k e ->
-          if k > 0 && queue.(e) = arrival_queue then
-            invalid_arg "Event_store.of_trace: a task revisits the arrival queue")
-        evs)
+      for k = 1 to Array.length evs - 1 do
+        if queue.(evs.(k)) = arrival_queue then
+          invalid_arg "Event_store.of_trace: a task revisits the arrival queue"
+      done)
     by_task;
   (* Within-queue chains from the true arrival order (ties broken by
      departure, then index, so q0's simultaneous arrivals order by
      entry time). This order is the fixed "event counter" data. *)
-  let by_queue =
-    let buckets = Array.make trace.Trace.num_queues [] in
-    for i = n - 1 downto 0 do
-      buckets.(queue.(i)) <- i :: buckets.(queue.(i))
-    done;
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort
-          (fun i j ->
-            match compare arrival0.(i) arrival0.(j) with
-            | 0 -> (
-                match compare departure.(i) departure.(j) with
-                | 0 -> compare i j
-                | c -> c)
-            | c -> c)
-          a;
-        a)
-      buckets
-  in
+  let by_queue = buckets queue trace.Trace.num_queues in
+  Array.iter
+    (Array.stable_sort (fun i j ->
+         match Float.compare arrival0.(i) arrival0.(j) with
+         | 0 -> (
+             match Float.compare departure.(i) departure.(j) with
+             | 0 -> Int.compare i j
+             | c -> c)
+         | c -> c))
+    by_queue;
   let rho = Array.make n (-1) in
   let rho_inv = Array.make n (-1) in
   let heads = Array.make trace.Trace.num_queues (-1) in

@@ -18,6 +18,8 @@ let build_system ?(slack = 1e-9) store =
   let sys = Dcs.create ~default_upper:cap m in
   let count = ref 0 in
   let fixed = Store.observed store in
+  (* bound once: a float computed at each call site is boxed per call *)
+  let neg_slack = -.slack in
   let le i j c =
     (* x_i - x_j <= c, skipped when both endpoints are fixed *)
     if not (fixed i && fixed j) then begin
@@ -32,22 +34,20 @@ let build_system ?(slack = 1e-9) store =
     end;
     (* service of i is non-negative: d_i >= a_i and d_i >= d_rho(i) *)
     let p = Store.pi store i in
-    if p >= 0 then le p i (-.slack)
+    if p >= 0 then le p i neg_slack
     else if not (fixed i) then begin
       Dcs.add_lower sys i slack;
       incr count
     end;
     let r = Store.rho store i in
-    if r >= 0 then le r i (-.slack);
+    if r >= 0 then le r i neg_slack;
     (* arrival order at i's queue: a_i <= a_{rho_inv i} *)
     let j = Store.rho_inv store i in
     if j >= 0 then begin
       let pj = Store.pi store j in
-      if p >= 0 && pj >= 0 then le p pj (-.slack)
-      else if p >= 0 && pj < 0 then
-        (* j is initial (arrival 0) while i is not: impossible unless
-           a_i <= 0; record as an upper bound to surface infeasibility *)
-        le p p 0.0
+      (* pj < 0 <= p would be a non-initial event at the arrival queue,
+         which Event_store.of_trace rejects *)
+      if p >= 0 && pj >= 0 then le p pj neg_slack
     end
   done;
   (sys, !count)
@@ -65,79 +65,81 @@ let write_solution store solution =
    constraints (pi(i) -> pi(j) for consecutive arrivals i, j). These
    all point forward in time, so the graph is acyclic for any store
    built from a valid trace. *)
-let dependency_edges store =
-  let m = Store.num_events store in
-  let edges = ref [] in
-  for i = 0 to m - 1 do
+let iter_dependencies store f =
+  for i = 0 to Store.num_events store - 1 do
     let p = Store.pi store i and r = Store.rho store i in
-    if p >= 0 then edges := (p, i) :: !edges;
-    if r >= 0 then edges := (r, i) :: !edges;
+    if p >= 0 then f p i;
+    if r >= 0 then f r i;
     let j = Store.rho_inv store i in
     if j >= 0 then begin
       let pj = Store.pi store j in
-      if p >= 0 && pj >= 0 then edges := (p, pj) :: !edges
+      if p >= 0 && pj >= 0 then f p pj
     end
-  done;
-  !edges
-
-let dependency_order store =
-  let m = Store.num_events store in
-  let indegree = Array.make m 0 in
-  let succs = Array.make m [] in
-  List.iter
-    (fun (u, v) ->
-      indegree.(v) <- indegree.(v) + 1;
-      succs.(u) <- v :: succs.(u))
-    (dependency_edges store);
-  let queue = Queue.create () in
-  for i = 0 to m - 1 do
-    if indegree.(i) = 0 then Queue.add i queue
-  done;
-  let order = Array.make m 0 in
-  let k = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.take queue in
-    order.(!k) <- i;
-    incr k;
-    List.iter
-      (fun j ->
-        indegree.(j) <- indegree.(j) - 1;
-        if indegree.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  assert (!k = m);
-  order
+  done
 
 (* Greedy LP surrogate: in dependency order, give each latent event a
    departure of (service start + target mean service), clamped into
    [all incoming dependencies + slack, latest-feasible]. Clamping by
    the componentwise-latest solution keeps every later constraint
-   satisfiable; the dependency walk keeps every earlier one satisfied. *)
+   satisfiable; the dependency walk keeps every earlier one satisfied.
+
+   The DAG is built once in CSR form (successors of u are
+   [succ.(offset.(u)) .. succ.(offset.(u+1) - 1)]) and walked with
+   Kahn's algorithm. As each event is finalised its value plus slack
+   is folded into its successors' [lower]. A value depends only on its
+   predecessors and [Float.max] is exact, so any topological order
+   gives the same bits. *)
 let targeted_solution ~slack store target latest =
   let m = Store.num_events store in
-  let solution = Array.make m 0.0 in
-  let value i =
-    if Store.observed store i then Store.departure store i else solution.(i)
-  in
-  let preds = Array.make m [] in
-  List.iter (fun (u, v) -> preds.(v) <- u :: preds.(v)) (dependency_edges store);
-  Array.iter
-    (fun i ->
-      if Store.observed store i then solution.(i) <- Store.departure store i
+  let offset = Array.make (m + 1) 0 and indegree = Array.make m 0 in
+  iter_dependencies store (fun u v ->
+      offset.(u + 1) <- offset.(u + 1) + 1;
+      indegree.(v) <- indegree.(v) + 1);
+  for u = 1 to m do
+    offset.(u) <- offset.(u) + offset.(u - 1)
+  done;
+  let succ = Array.make offset.(m) 0 and cursor = Array.sub offset 0 m in
+  iter_dependencies store (fun u v ->
+      succ.(cursor.(u)) <- v;
+      cursor.(u) <- cursor.(u) + 1);
+  (* Kahn's FIFO, in the spent cursor array: every event is queued
+     exactly once *)
+  let order = cursor and queued = ref 0 in
+  for i = 0 to m - 1 do
+    if indegree.(i) = 0 then begin
+      order.(!queued) <- i;
+      incr queued
+    end
+  done;
+  let solution = Array.make m 0.0 and lower = Array.make m neg_infinity in
+  let mean_service = Array.init (Store.num_queues store) (Params.mean_service target) in
+  let k = ref 0 in
+  while !k < !queued do
+    let i = order.(!k) in
+    incr k;
+    let x =
+      if Store.observed store i then store.Store.departure.(i)
       else begin
         let p = Store.pi store i and r = Store.rho store i in
-        let arrival = if p < 0 then 0.0 else value p in
-        let start = if r < 0 then arrival else Float.max arrival (value r) in
-        let lower =
-          List.fold_left
-            (fun acc u -> Float.max acc (value u +. slack))
-            (Float.max slack (start +. slack))
-            preds.(i)
-        in
-        let wanted = start +. Params.mean_service target (Store.queue store i) in
-        solution.(i) <- Float.min latest.(i) (Float.max lower wanted)
-      end)
-    (dependency_order store);
+        let arrival = if p < 0 then 0.0 else solution.(p) in
+        let start = if r < 0 then arrival else Float.max arrival solution.(r) in
+        let bound = Float.max (Float.max slack (start +. slack)) lower.(i) in
+        let wanted = start +. mean_service.(Store.queue store i) in
+        Float.min latest.(i) (Float.max bound wanted)
+      end
+    in
+    solution.(i) <- x;
+    for e = offset.(i) to offset.(i + 1) - 1 do
+      let v = succ.(e) in
+      lower.(v) <- Float.max lower.(v) (x +. slack);
+      indegree.(v) <- indegree.(v) - 1;
+      if indegree.(v) = 0 then begin
+        order.(!queued) <- v;
+        incr queued
+      end
+    done
+  done;
+  assert (!queued = m);
   solution
 
 let feasible ?strategy ?(slack = 1e-9) ?target store =

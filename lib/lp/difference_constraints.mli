@@ -10,7 +10,21 @@
     constraint over the unobserved departure times is of this form —
     and the solver provides feasible initializations for the Gibbs
     sampler (a faster, specialized alternative to the paper's LP
-    initialization). *)
+    initialization).
+
+    {b Layout.} Constraints are stored in three parallel growable flat
+    arrays (two [int array]s and a [float array]), oldest first, each
+    normalised to [x_a - x_b <= w] with node [n] as the zero reference
+    (a bound [x_i <= c] is [(i, n, c)], [x_i >= c] is [(n, i, -c)]).
+    The initial capacity is four constraints per variable. {!solve}
+    builds the constraint graph in CSR form (an offset array over
+    nodes [0..n], then parallel target and weight arrays) with each
+    node's edges in insertion order, the reference node's
+    [default_upper] caps last, from [n-1] down to [0]. It then runs
+    SPFA with an [int] ring buffer as the FIFO worklist and a byte
+    per node for "queued". Nothing is allocated per constraint or per
+    edge, and the relaxation order, hence every bit of the result,
+    is fixed by the insertion order. *)
 
 type t
 
@@ -50,4 +64,5 @@ val solve_centered : t -> (float array, infeasibility) result
 val check : t -> float array -> (unit, string) result
 (** [check t x] verifies that [x] satisfies every recorded constraint
     (to within 1e-9 slack); used by tests and by the sampler's debug
-    assertions. *)
+    assertions. When several are violated it reports the one added
+    last. *)

@@ -21,8 +21,8 @@ let compare_task_arrival a b =
       | c -> c)
   | c -> c
 
-let create ~num_queues events =
-  let events = Array.of_list events in
+(* [create] on an array it may sort in place *)
+let of_array ~num_queues events =
   Array.sort compare_task_arrival events;
   Array.iter
     (fun e ->
@@ -61,6 +61,8 @@ let create ~num_queues events =
     i := !j
   done;
   { num_queues; num_tasks = !num_tasks; events }
+
+let create ~num_queues events = of_array ~num_queues (Array.of_list events)
 
 let tasks t =
   let seen = Hashtbl.create 64 in
@@ -281,115 +283,173 @@ let field_error ~num_queues e =
         Printf.sprintf "departure %g before arrival %g" e.departure e.arrival )
   else None
 
+(* For each of the [count] records [idx.(0 .. count-1)], the first of
+   them equal to it under [equal]: an open-addressing table of record
+   indices, probed linearly from [hash]. *)
+let first_equal ~hash ~equal idx count =
+  let cap = ref 16 in
+  while !cap < 2 * count do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slots = Array.make !cap (-1) in
+  Array.init count (fun k ->
+      let i = idx.(k) in
+      let h = ref (hash i land mask) in
+      while slots.(!h) >= 0 && not (equal slots.(!h) i) do
+        h := (!h + 1) land mask
+      done;
+      if slots.(!h) < 0 then slots.(!h) <- i;
+      slots.(!h))
+
+let mix h v =
+  let h = (h lxor v) * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 29)
+
+(* [Int64.to_int] drops the sign bit, so -0.0 and 0.0, which compare
+   equal, hash alike, as they do under the polymorphic hash *)
+let float_key x = Int64.to_int (Int64.bits_of_float x)
+
+let dummy_event = { task = 0; state = 0; queue = 0; arrival = 0.0; departure = 0.0 }
+
+let by_arrival a b =
+  match Float.compare a.arrival b.arrival with
+  | 0 -> Float.compare a.departure b.departure
+  | c -> c
+
 (* The repair half of lenient ingestion, on records already parsed.
-   [parsed] pairs each event with its 1-based source line (0 when it
-   has none) in source order; [parse_errors] (newest first),
-   [lines_read] and [data_lines] carry what the parse step saw. *)
-let repair ~num_queues ~parse_errors ~lines_read ~data_lines parsed =
+   [events.(0 .. n-1)] are in source order and [lines.(k)] is the
+   1-based source line of [events.(k)] (0 when it has none);
+   [parse_errors] (newest first), [lines_read] and [data_lines] carry
+   what the parse step saw. *)
+let repair ~num_queues ~parse_errors ~lines_read ~data_lines ~lines events n =
   let errors = ref [] and field_errors = ref [] in
   let add errs ?line ?task reason detail =
     errs := { line; task_id = task; reason; detail } :: !errs
   in
   let record = add errors in
-  let source_line l = if l > 0 then Some l else None in
+  let source_line k = if lines.(k) > 0 then Some lines.(k) else None in
   (* Pass 1: per-field sanity, then drop exact duplicates (keep the
      first occurrence). *)
-  let seen = Hashtbl.create 256 in
-  let deduped =
-    List.filter
-      (fun (line, e) ->
-        match field_error ~num_queues e with
-        | Some (reason, detail) ->
-            add field_errors ?line:(source_line line) ~task:e.task reason detail;
-            false
-        | None ->
-            let key = (e.task, e.state, e.queue, e.arrival, e.departure) in
-            if Hashtbl.mem seen key then begin
-              record ?line:(source_line line) ~task:e.task Duplicate_event
-                "exact duplicate record";
-              false
-            end
-            else begin
-              Hashtbl.add seen key ();
-              true
-            end)
-      parsed
+  let sane = Array.make n 0 and count = ref 0 in
+  for k = 0 to n - 1 do
+    let e = events.(k) in
+    match field_error ~num_queues e with
+    | Some (reason, detail) -> add field_errors ?line:(source_line k) ~task:e.task reason detail
+    | None ->
+        sane.(!count) <- k;
+        incr count
+  done;
+  let first =
+    first_equal
+      ~hash:(fun k ->
+        let e = events.(k) in
+        mix (mix (mix (mix (mix 0 e.task) e.state) e.queue) (float_key e.arrival))
+          (float_key e.departure))
+      ~equal:(fun k k' ->
+        let a = events.(k) and b = events.(k') in
+        a.task = b.task && a.state = b.state && a.queue = b.queue && a.arrival = b.arrival
+        && a.departure = b.departure)
+      sane !count
   in
+  let kept = ref 0 in
+  for s = 0 to !count - 1 do
+    let k = sane.(s) in
+    if first.(s) <> k then
+      record ?line:(source_line k) ~task:events.(k).task Duplicate_event "exact duplicate record"
+    else begin
+      sane.(!kept) <- k;
+      incr kept
+    end
+  done;
+  let deduped = sane and n_deduped = !kept in
   (* the per-line errors of both steps precede the duplicates, in
      source order: both lists are newest first, so merge by descending
      line *)
   errors :=
     !errors @ List.merge (fun a b -> compare b.line a.line) !field_errors parse_errors;
-  (* Pass 2: per-task chain repair. Sort each task's events by arrival
-     and keep the longest valid prefix of the chain; a clock-skewed or
-     missing record invalidates everything after it (the later arrivals
-     can no longer be tied to a departure), not the whole task. *)
-  let by_task = Hashtbl.create 64 in
-  let task_order = ref [] in
-  List.iter
-    (fun (_line, e) ->
-      match Hashtbl.find_opt by_task e.task with
-      | None ->
-          Hashtbl.add by_task e.task (ref [ e ]);
-          task_order := e.task :: !task_order
-      | Some l -> l := e :: !l)
-    deduped;
-  let task_order = List.rev !task_order in
-  let tasks_dropped = ref 0 in
-  let chains =
-    List.filter_map
-      (fun task ->
-        let events = List.rev !(Hashtbl.find by_task task) in
-        let events =
-          List.sort
-            (fun a b ->
-              match compare a.arrival b.arrival with
-              | 0 -> compare a.departure b.departure
-              | c -> c)
-            events
-        in
-        match events with
-        | [] -> None
-        | first :: _ when not (Float.equal first.arrival 0.0) ->
-            record ~task Missing_initial
-              (Printf.sprintf "first event arrives at %g, not 0" first.arrival);
-            incr tasks_dropped;
-            None
-        | first :: rest ->
-            let kept = ref [ first ] in
-            let prev = ref first in
-            let broken = ref false in
-            List.iter
-              (fun e ->
-                if not !broken then begin
-                  if Float.abs (e.arrival -. !prev.departure) > chain_tolerance
-                  then begin
-                    record ~task Broken_chain
-                      (Printf.sprintf
-                         "arrival %g disagrees with predecessor departure %g; \
-                          dropping the task's remaining events"
-                         e.arrival !prev.departure);
-                    broken := true
-                  end
-                  else begin
-                    kept := e :: !kept;
-                    prev := e
-                  end
-                end)
-              rest;
-            Some (task, List.rev !kept))
-      task_order
+  (* Pass 2: per-task chain repair. Group the records by task, tasks in
+     order of first appearance and each task's records in source order,
+     by counting; then sort each task's records by arrival and keep the
+     longest valid prefix of the chain. A clock-skewed or missing record
+     invalidates everything after it (the later arrivals can no longer
+     be tied to a departure), not the whole task. *)
+  let first_of_task =
+    first_equal
+      ~hash:(fun k -> mix 0 events.(k).task)
+      ~equal:(fun k k' -> events.(k).task = events.(k').task)
+      deduped n_deduped
   in
+  let slot = Array.make n 0 and num_tasks = ref 0 in
+  for s = 0 to n_deduped - 1 do
+    let k = deduped.(s) in
+    if first_of_task.(s) = k then begin
+      slot.(k) <- !num_tasks;
+      incr num_tasks
+    end
+    else slot.(k) <- slot.(first_of_task.(s))
+  done;
+  let num_tasks = !num_tasks in
+  let offset = Array.make (num_tasks + 1) 0 in
+  for s = 0 to n_deduped - 1 do
+    let t = slot.(deduped.(s)) in
+    offset.(t + 1) <- offset.(t + 1) + 1
+  done;
+  for t = 1 to num_tasks do
+    offset.(t) <- offset.(t) + offset.(t - 1)
+  done;
+  let grouped = Array.make n_deduped dummy_event and fill = Array.sub offset 0 num_tasks in
+  for s = 0 to n_deduped - 1 do
+    let k = deduped.(s) in
+    let t = slot.(k) in
+    grouped.(fill.(t)) <- events.(k);
+    fill.(t) <- fill.(t) + 1
+  done;
+  (* [chain.(t)]: the length of task t's surviving prefix, 0 if dropped *)
+  let chain = Array.make num_tasks 0 in
+  let tasks_dropped = ref 0 in
+  for t = 0 to num_tasks - 1 do
+    let lo = offset.(t) and len = offset.(t + 1) - offset.(t) in
+    let sorted = Array.sub grouped lo len in
+    Array.stable_sort by_arrival sorted;
+    Array.blit sorted 0 grouped lo len;
+    let first = grouped.(lo) in
+    let task = first.task in
+    if not (Float.equal first.arrival 0.0) then begin
+      record ~task Missing_initial
+        (Printf.sprintf "first event arrives at %g, not 0" first.arrival);
+      incr tasks_dropped
+    end
+    else begin
+      let j = ref 1 in
+      while
+        !j < len
+        && Float.abs (grouped.(lo + !j).arrival -. grouped.(lo + !j - 1).departure)
+           <= chain_tolerance
+      do
+        incr j
+      done;
+      if !j < len then
+        record ~task Broken_chain
+          (Printf.sprintf
+             "arrival %g disagrees with predecessor departure %g; dropping the task's \
+              remaining events"
+             grouped.(lo + !j).arrival
+             grouped.(lo + !j - 1).departure);
+      chain.(t) <- !j
+    end
+  done;
   (* Pass 3: route consistency — every surviving task must enter at the
      same (majority) arrival queue and never revisit it, or
      [Event_store.of_trace] would reject the whole trace later. *)
   let entry_counts = Hashtbl.create 8 in
-  List.iter
-    (fun (_task, events) ->
-      let q = (List.hd events).queue in
+  for t = 0 to num_tasks - 1 do
+    if chain.(t) > 0 then begin
+      let q = grouped.(offset.(t)).queue in
       Hashtbl.replace entry_counts q
-        (1 + Option.value ~default:0 (Hashtbl.find_opt entry_counts q)))
-    chains;
+        (1 + Option.value ~default:0 (Hashtbl.find_opt entry_counts q))
+    end
+  done;
   let arrival_queue =
     Hashtbl.fold
       (fun q c best ->
@@ -398,40 +458,35 @@ let repair ~num_queues ~parse_errors ~lines_read ~data_lines parsed =
         | _ -> Some (q, c))
       entry_counts None
   in
-  let chains =
-    match arrival_queue with
-    | None -> []
-    | Some (q0, _) ->
-        List.filter_map
-          (fun (task, events) ->
-            let entry = List.hd events in
-            if entry.queue <> q0 then begin
-              record ~task Inconsistent_route
-                (Printf.sprintf "task enters at queue %d, not the arrival queue %d"
-                   entry.queue q0);
-              incr tasks_dropped;
-              None
+  (match arrival_queue with
+  | None -> ()
+  | Some (q0, _) ->
+      for t = 0 to num_tasks - 1 do
+        if chain.(t) > 0 then begin
+          let lo = offset.(t) in
+          let entry = grouped.(lo) in
+          if entry.queue <> q0 then begin
+            record ~task:entry.task Inconsistent_route
+              (Printf.sprintf "task enters at queue %d, not the arrival queue %d" entry.queue
+                 q0);
+            incr tasks_dropped;
+            chain.(t) <- 0
+          end
+          else begin
+            (* truncate at the first revisit of q0 *)
+            let j = ref 1 in
+            while !j < chain.(t) && grouped.(lo + !j).queue <> q0 do
+              incr j
+            done;
+            if !j < chain.(t) then begin
+              record ~task:entry.task Inconsistent_route
+                "task revisits the arrival queue; dropping its remaining events";
+              chain.(t) <- !j
             end
-            else begin
-              (* truncate at the first revisit of q0 *)
-              let kept = ref [ entry ] in
-              let ok = ref true in
-              List.iter
-                (fun e ->
-                  if !ok then
-                    if e.queue = q0 then begin
-                      record ~task Inconsistent_route
-                        "task revisits the arrival queue; dropping its remaining \
-                         events";
-                      ok := false
-                    end
-                    else kept := e :: !kept)
-                (List.tl events);
-              Some (task, List.rev !kept)
-            end)
-          chains
-  in
-  let events = List.concat_map snd chains in
+          end
+        end
+      done);
+  let kept = Array.fold_left ( + ) 0 chain in
   let report kept =
     {
       errors = !errors;
@@ -442,16 +497,23 @@ let repair ~num_queues ~parse_errors ~lines_read ~data_lines parsed =
       tasks_dropped = !tasks_dropped;
     }
   in
-  match events with
-  | [] -> Error (report 0)
-  | events -> (
-      try Ok (create ~num_queues events, report (List.length events))
-      with Invalid_argument msg ->
-        (* The repair passes above should make this unreachable, but a
-           residual inconsistency must degrade into a report, not an
-           exception — that is the lenient contract. *)
-        record Malformed_line ("residual inconsistency: " ^ msg);
-        Error (report 0))
+  if kept = 0 then Error (report 0)
+  else begin
+    let survivors = Array.make kept dummy_event and k = ref 0 in
+    for t = 0 to num_tasks - 1 do
+      Array.blit grouped offset.(t) survivors !k chain.(t);
+      k := !k + chain.(t)
+    done;
+    try Ok (of_array ~num_queues survivors, report kept)
+    with Invalid_argument msg ->
+      (* The repair passes above should make this unreachable, but a
+         residual inconsistency must degrade into a report, not an
+         exception — that is the lenient contract. *)
+      record Malformed_line ("residual inconsistency: " ^ msg);
+      Error (report 0)
+  end
+
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
 let of_csv_lenient ~num_queues text =
   if num_queues <= 0 then invalid_arg "Trace.of_csv_lenient: num_queues must be positive";
@@ -461,51 +523,74 @@ let of_csv_lenient ~num_queues text =
       { line = Some line; task_id = None; reason = Malformed_line; detail }
       :: !parse_errors
   in
-  let lines = String.split_on_char '\n' text in
-  let lines_read = ref 0 in
-  let data_lines = ref 0 in
-  let parsed = ref [] (* (line number, event), newest first *) in
-  let lineno = ref 0 in
-  List.iter
-    (fun raw ->
-      incr lineno;
-      let line = String.trim raw in
-      if line <> "" then begin
-        incr lines_read;
-        let is_header =
-          !lineno = 1 && String.length line >= 4 && String.sub line 0 4 = "task"
-        in
-        if not is_header then begin
-          incr data_lines;
-          match String.split_on_char ',' line with
-          | [ task; state; queue; arrival; departure ] -> (
-              match
-                ( int_of_string_opt (String.trim task),
-                  int_of_string_opt (String.trim state),
-                  int_of_string_opt (String.trim queue),
-                  float_of_string_opt (String.trim arrival),
-                  float_of_string_opt (String.trim departure) )
-              with
-              | Some task, Some state, Some queue, Some arrival, Some departure ->
-                  parsed :=
-                    (!lineno, { task; state; queue; arrival; departure }) :: !parsed
-              | _ -> malformed !lineno "unparseable numeric field")
-          | fields ->
-              malformed !lineno
-                (Printf.sprintf "expected 5 comma-separated fields, got %d"
-                   (List.length fields))
+  let len = String.length text in
+  (* at most one record per line *)
+  let capacity = ref 1 in
+  String.iter (fun c -> if c = '\n' then incr capacity) text;
+  let events = Array.make !capacity dummy_event and lines = Array.make !capacity 0 in
+  let parsed = ref 0 in
+  let lines_read = ref 0 and data_lines = ref 0 in
+  (* [lo, hi) with the String.trim whitespace removed from both ends *)
+  let rec trim_lo lo hi = if lo < hi && is_space text.[lo] then trim_lo (lo + 1) hi else lo in
+  let rec trim_hi lo hi = if hi > lo && is_space text.[hi - 1] then trim_hi lo (hi - 1) else hi in
+  let field lo hi =
+    let lo = trim_lo lo hi in
+    String.sub text lo (trim_hi lo hi - lo)
+  in
+  let rec next_comma i hi = if i >= hi || text.[i] = ',' then i else next_comma (i + 1) hi in
+  let lineno = ref 0 and pos = ref 0 in
+  while !pos <= len do
+    let stop = match String.index_from text !pos '\n' with k -> k | exception Not_found -> len in
+    incr lineno;
+    let lo = trim_lo !pos stop in
+    let hi = trim_hi lo stop in
+    if lo < hi then begin
+      incr lines_read;
+      let is_header = !lineno = 1 && hi - lo >= 4 && String.sub text lo 4 = "task" in
+      if not is_header then begin
+        incr data_lines;
+        let c1 = next_comma lo hi in
+        let c2 = next_comma (c1 + 1) hi in
+        let c3 = next_comma (c2 + 1) hi in
+        let c4 = next_comma (c3 + 1) hi in
+        if c4 < hi && next_comma (c4 + 1) hi = hi then begin
+          match
+            {
+              task = int_of_string (field lo c1);
+              state = int_of_string (field (c1 + 1) c2);
+              queue = int_of_string (field (c2 + 1) c3);
+              arrival = float_of_string (field (c3 + 1) c4);
+              departure = float_of_string (field (c4 + 1) hi);
+            }
+          with
+          | e ->
+              events.(!parsed) <- e;
+              lines.(!parsed) <- !lineno;
+              incr parsed
+          | exception Failure _ -> malformed !lineno "unparseable numeric field"
         end
-      end)
-    lines;
+        else begin
+          let fields = ref 1 in
+          for i = lo to hi - 1 do
+            if text.[i] = ',' then incr fields
+          done;
+          malformed !lineno
+            (Printf.sprintf "expected 5 comma-separated fields, got %d" !fields)
+        end
+      end
+    end;
+    pos := stop + 1
+  done;
   repair ~num_queues ~parse_errors:!parse_errors ~lines_read:!lines_read
-    ~data_lines:!data_lines (List.rev !parsed)
+    ~data_lines:!data_lines ~lines events !parsed
 
 let of_events_lenient ~num_queues events =
   if num_queues <= 0 then
     invalid_arg "Trace.of_events_lenient: num_queues must be positive";
-  let n = List.length events in
-  repair ~num_queues ~parse_errors:[] ~lines_read:n ~data_lines:n
-    (List.map (fun e -> (0, e)) events)
+  let events = Array.of_list events in
+  let n = Array.length events in
+  repair ~num_queues ~parse_errors:[] ~lines_read:n ~data_lines:n ~lines:(Array.make n 0)
+    events n
 
 let load_lenient ~num_queues path =
   try

@@ -185,6 +185,110 @@ let test_init_with_nothing_observed () =
   | Ok () -> ()
   | Error m -> Alcotest.fail m
 
+(* ------------------------------------------------------------------ *)
+(* Pinned output. The initializer's departures are part of the
+   sampler's seeded contract: they are the chain's first state, so any
+   change to them moves every seeded fit. Digests recorded from the
+   list-based solver and dependency walk that the flat-array versions
+   replaced. *)
+
+let pinned_stores () =
+  [
+    ("tandem 300 @0.2", masked ~seed:301 ~tasks:300 ~frac:0.2 ());
+    ( "three-tier 1000 @0.5",
+      masked ~seed:302 ~tasks:1000 ~frac:0.5
+        ~net:(Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(2, 2, 4) ~service_rate:8.0 ())
+        () );
+    ( "feedback 1000 @0.2",
+      masked ~seed:303 ~tasks:1000 ~frac:0.2
+        ~net:(Topologies.feedback ~arrival_rate:2.0 ~service_rate:5.0 ~loop_prob:0.5)
+        () );
+  ]
+
+let departure_digest store =
+  let buf = Buffer.create (32 * Store.num_events store) in
+  for i = 0 to Store.num_events store - 1 do
+    Printf.bprintf buf "%h;" (Store.departure store i)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_digests =
+  [
+    ( "tandem 300 @0.2",
+      [
+        "97f2eef81c58e1b3f2e5153752574922";
+        "213824ac7e26a44985df602e4e3a42a6";
+        "9e8bd83cb651c31c832d2b80b5656c4e";
+        "02fe3994db4c8403cf3334274d137bad";
+      ] );
+    ( "three-tier 1000 @0.5",
+      [
+        "e379664c92703453b2f3ac3b283d0f7d";
+        "f5100df5f8c753c0252e6e9bdd255bf7";
+        "81685f7b726159c164ee9e69e6c0ec27";
+        "d8677bfdaef993e3c6d967e739cb1c1e";
+      ] );
+    ( "feedback 1000 @0.2",
+      [
+        "62225cfabf1f322400c9933ba8d64765";
+        "e9f959f50812e783ff4bc23fd0285d3d";
+        "35cad47af1d136691ddf7ed5af3ea379";
+        "c5ceb3307d3517d2e7501ce19815b735";
+      ] );
+  ]
+
+let test_pinned_initializer () =
+  List.iter
+    (fun (name, (_, _, store)) ->
+      let target =
+        Params.create
+          ~rates:(Array.init (Store.num_queues store) (fun q -> if q = 0 then 6.0 else 7.5))
+          ~arrival_queue:0
+      in
+      let digests =
+        List.map
+          (fun strategy ->
+            let s = Store.copy store in
+            (match Init.feasible ~strategy ~target s with
+            | Ok () -> ()
+            | Error m -> Alcotest.failf "%s: %s" name m);
+            departure_digest s)
+          [ Init.Earliest; Init.Latest; Init.Centered; Init.Targeted ]
+      in
+      Alcotest.(check (list string))
+        (name ^ ": earliest, latest, centered, targeted")
+        (List.assoc name pinned_digests) digests)
+    (pinned_stores ())
+
+(* Targeted initialization allocates a bounded number of bytes per
+   event: flat arrays for the constraint system, its adjacency and the
+   dependency walk, nothing per constraint or edge. It measures
+   ~320 B per event on this store; the list-based solver it replaced
+   allocated ~1490. *)
+let init_budget_bytes_per_event = 400.0
+
+let test_init_allocation () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let _, _, store = masked ~seed:304 ~tasks:3400 ~frac:0.1 () in
+      let events = Store.num_events store in
+      let target = Params.create ~rates:[| 6.0; 8.0; 7.0 |] ~arrival_queue:0 in
+      let run () =
+        match Init.feasible ~strategy:Init.Targeted ~target store with
+        | Ok () -> ()
+        | Error m -> Alcotest.fail m
+      in
+      run ();
+      (* from an empty minor heap, so the count repeats exactly *)
+      Gc.minor ();
+      let b0 = Gc.allocated_bytes () in
+      run ();
+      let per_event = (Gc.allocated_bytes () -. b0) /. float_of_int events in
+      if per_event > init_budget_bytes_per_event then
+        Alcotest.failf "Targeted Init.feasible allocates %.1f B per event (budget %.0f)" per_event
+          init_budget_bytes_per_event
+  | _ -> Alcotest.skip ()
+
 let () =
   Alcotest.run "qnet_init"
     [
@@ -202,5 +306,7 @@ let () =
           Alcotest.test_case "LP beats greedy" `Quick test_lp_objective_beats_greedy;
           Alcotest.test_case "feedback topology" `Quick test_feedback_topology_init;
           Alcotest.test_case "nothing observed" `Quick test_init_with_nothing_observed;
+          Alcotest.test_case "pinned initializer" `Quick test_pinned_initializer;
+          Alcotest.test_case "initializer allocation budget" `Quick test_init_allocation;
         ] );
     ]

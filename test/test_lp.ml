@@ -369,6 +369,95 @@ let test_dcs_vs_simplex_oracle () =
     (fun i xi -> check_close (Printf.sprintf "var %d" i) xi e.(i))
     x
 
+(* ------------------------------------------------------------------ *)
+(* Pinned output: the solver's bits feed the sampler's first state, so
+   they are part of its seeded contract. Recorded from the list-based
+   solver that the flat-array one replaced. *)
+
+(* A feasible system around a hidden point: differences, bounds and
+   equalities with random non-negative slack (often zero, so many
+   constraints are tight and SPFA relaxes nodes repeatedly). *)
+let seeded_system () =
+  let rng = Qnet_prob.Rng.create ~seed:97 () in
+  let n = 60 in
+  let hidden = Array.init n (fun _ -> 100.0 *. Qnet_prob.Rng.float_unit rng) in
+  let slack () =
+    if Qnet_prob.Rng.int rng 3 = 0 then 0.0 else 5.0 *. Qnet_prob.Rng.float_unit rng
+  in
+  let t = Dcs.create ~default_upper:250.0 n in
+  for _ = 1 to 400 do
+    let i = Qnet_prob.Rng.int rng n and j = Qnet_prob.Rng.int rng n in
+    match Qnet_prob.Rng.int rng 10 with
+    | 0 -> Dcs.add_upper t i (hidden.(i) +. slack ())
+    | 1 -> Dcs.add_lower t i (hidden.(i) -. slack ())
+    | 2 when Qnet_prob.Rng.int rng 4 = 0 -> Dcs.add_eq t i hidden.(i)
+    | _ -> Dcs.add_le t i j (hidden.(i) -. hidden.(j) +. slack ())
+  done;
+  t
+
+let digest_bits x =
+  let buf = Buffer.create 1024 in
+  Array.iter (fun v -> Printf.bprintf buf "%h;" v) x;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_dcs_pinned_solutions () =
+  let t = seeded_system () in
+  let earliest = solve_ok t `Earliest and latest = solve_ok t `Latest in
+  let centered =
+    match Dcs.solve_centered t with
+    | Ok x -> x
+    | Error { Dcs.message } -> Alcotest.fail message
+  in
+  List.iter
+    (fun x -> match Dcs.check t x with Ok () -> () | Error m -> Alcotest.fail m)
+    [ earliest; latest; centered ];
+  Alcotest.(check (list string)) "earliest, latest, centered"
+    [
+      "94855c9eda0915dc8327055710b98c11";
+      "206d3763654c2353832d993673418001";
+      "a70af18e861e007e1e6793ba30f8e87d";
+    ]
+    (List.map digest_bits [ earliest; latest; centered ])
+
+let test_dcs_pinned_infeasible () =
+  (* a cycle through the reference node and one through two variables *)
+  let t = Dcs.create 4 in
+  Dcs.add_le t 0 1 (-1.0);
+  Dcs.add_lower t 2 3.0;
+  Dcs.add_upper t 2 2.5;
+  Dcs.add_le t 1 3 0.5;
+  Dcs.add_le t 3 0 0.25;
+  List.iter
+    (fun mode ->
+      match Dcs.solve t mode with
+      | Ok _ -> Alcotest.fail "expected infeasibility"
+      | Error { Dcs.message } ->
+          Alcotest.(check string) "message" "negative cycle: constraints are contradictory" message)
+    [ `Earliest; `Latest ];
+  match Dcs.solve_centered t with
+  | Ok _ -> Alcotest.fail "expected infeasibility"
+  | Error { Dcs.message } ->
+      Alcotest.(check string) "centered message" "negative cycle: constraints are contradictory"
+        message
+
+let test_dcs_pinned_check () =
+  (* several violated constraints of every kind: [check] reports the
+     one added last *)
+  let t = Dcs.create 3 in
+  Dcs.add_le t 0 1 (-1.0);
+  Dcs.add_upper t 2 1.0;
+  Dcs.add_lower t 1 7.0;
+  Dcs.add_le t 2 0 0.5;
+  Dcs.add_eq t 0 4.0;
+  let x = [| 5.0; 5.5; 8.0 |] in
+  Alcotest.(check (result unit string)) "newest violation"
+    (Error "violated: x0 <= 4 (got 5)") (Dcs.check t x);
+  Alcotest.(check (result unit string)) "lower bound"
+    (Error "violated: x1 >= 7 (got 6)") (Dcs.check t [| 4.0; 6.0; 1.0 |]);
+  Alcotest.(check (result unit string)) "satisfied" (Ok ()) (Dcs.check t [| 4.0; 7.5; 1.0 |]);
+  Alcotest.(check (result unit string)) "dimension" (Error "check: wrong dimension")
+    (Dcs.check t [| 0.0 |])
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "qnet_lp"
@@ -386,6 +475,9 @@ let () =
           Alcotest.test_case "bad variable" `Quick test_dcs_bad_variable_rejected;
           Alcotest.test_case "20k-var chain fast" `Slow test_dcs_large_chain_performance;
           qc qcheck_dcs_solution_feasible;
+          Alcotest.test_case "pinned solve bits" `Quick test_dcs_pinned_solutions;
+          Alcotest.test_case "pinned infeasible message" `Quick test_dcs_pinned_infeasible;
+          Alcotest.test_case "pinned check violation" `Quick test_dcs_pinned_check;
         ] );
       ( "simplex",
         [

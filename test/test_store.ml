@@ -183,6 +183,56 @@ let test_large_simulated_store_consistency () =
       order
   done
 
+(* The store's whole layout, pinned to the digests of the
+   Hashtbl-and-list construction that the counting one replaced: a
+   simulated trace, and a hand-built trace record whose task ids are
+   sparse and descending and whose queues carry ties on arrival and on
+   departure. *)
+let layout_digest (s : Store.t) =
+  let buf = Buffer.create 4096 in
+  let ints name a =
+    Printf.bprintf buf "%s:" name;
+    Array.iter (fun v -> Printf.bprintf buf "%d," v) a;
+    Buffer.add_char buf '\n'
+  in
+  ints "task" s.Store.task;
+  ints "state" s.Store.state;
+  ints "queue" s.Store.queue;
+  Array.iter (fun d -> Printf.bprintf buf "%h," d) s.Store.departure;
+  Array.iter (fun o -> Buffer.add_char buf (if o then '1' else '0')) s.Store.observed;
+  ints "pi" s.Store.pi;
+  ints "pi_inv" s.Store.pi_inv;
+  ints "rho" s.Store.rho;
+  ints "rho_inv" s.Store.rho_inv;
+  ints "heads" s.Store.heads;
+  Array.iter (ints "by_task") s.Store.by_task;
+  ints "task_ids" s.Store.task_ids;
+  ints "latent" s.Store.latent;
+  Printf.bprintf buf "%d %d %d" s.Store.num_queues s.Store.num_tasks s.Store.arrival_queue;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_pinned_layout () =
+  let rng = Rng.create ~seed:43 () in
+  let net = Topologies.three_tier ~arrival_rate:8.0 ~tier_sizes:(2, 1, 2) ~service_rate:7.0 () in
+  let trace = Net_helpers.simulate_n rng net 300 in
+  let mask = Array.init (Array.length trace.Trace.events) (fun i -> i mod 3 = 1) in
+  let hand =
+    {
+      Trace.num_queues = 3;
+      num_tasks = 4;
+      events =
+        [|
+          ev 40 0 0 0.0 1.0; ev 40 1 1 1.0 2.0; ev 40 2 2 2.0 2.5;
+          ev 17 0 0 0.0 1.0; ev 17 1 2 1.0 2.0;
+          ev 9 0 0 0.0 0.5; ev 9 1 1 0.5 2.0; ev 9 2 1 2.0 3.0;
+          ev 3 0 0 0.0 1.0; ev 3 1 1 1.0 2.5;
+        |];
+    }
+  in
+  Alcotest.(check (list string)) "simulated, masked; hand-built"
+    [ "5091e7e479ee96f3af91c3bfc0f7a369"; "1cc1b632e23ac02146162b882ee25eae" ]
+    [ layout_digest (Store.of_trace ~observed:mask trace); layout_digest (Store.of_trace hand) ]
+
 let () =
   Alcotest.run "qnet_core_store"
     [
@@ -204,6 +254,7 @@ let () =
             test_mean_waiting_and_service_by_queue;
           Alcotest.test_case "q0 revisit rejected" `Quick test_rejects_queue_revisit_of_q0;
           Alcotest.test_case "mask length" `Quick test_mask_length_checked;
+          Alcotest.test_case "pinned layout" `Quick test_pinned_layout;
           Alcotest.test_case "simulated store consistency" `Quick
             test_large_simulated_store_consistency;
         ] );

@@ -272,6 +272,89 @@ let test_lenient_events_match_csv () =
       Alcotest.(check int) "survivors" 20 r_ev.Trace.events_kept
   | _ -> Alcotest.fail "both paths must keep the clean tasks"
 
+(* Repair pinned bit for bit: a dirty corpus through both lenient entry
+   points, rendered in full (every event's bits, every counter, every
+   error with its line, task and detail, in report order) and compared
+   with digests recorded from the list-based repair that the
+   array-based one replaced. *)
+let pinned_corpus () =
+  [
+    (* task 3 first: tasks are grouped by first appearance *)
+    ev 3 0 0 0.0 0.25; ev 3 1 1 0.25 0.5;
+    (* duplicates that differ only in the sign of a zero: the first
+       occurrence is kept, -0.0 included *)
+    ev 0 0 0 (-0.0) 0.1; ev 0 0 0 0.0 0.1; ev 0 1 1 0.1 0.4;
+    ev 1 0 0 0.0 0.0; ev 1 0 0 0.0 (-0.0); ev 1 1 2 0.0 0.3;
+    ev 3 2 2 0.5 0.75;
+    (* equal (arrival, departure) with a different state or queue *)
+    ev 2 0 0 0.0 0.2; ev 2 1 1 0.2 0.2; ev 2 2 1 0.2 0.2; ev 2 1 2 0.2 0.2;
+    ev 2 3 2 0.2 0.6;
+    (* equal entry times across tasks *)
+    ev 4 0 0 0.0 0.2; ev 4 1 2 0.2 0.45;
+    (* broken chains: a skew, and a gap after a good prefix *)
+    ev 5 0 0 0.0 0.3; ev 5 1 1 0.3 0.5; ev 5 2 2 0.55 0.8; ev 5 3 1 0.8 0.9;
+    ev 6 0 0 0.0 0.35; ev 6 1 1 0.4 0.6;
+    (* minority entry queue *)
+    ev 7 0 1 0.0 0.3; ev 7 1 2 0.3 0.7;
+    (* q0 revisits: mid-path and as the second event *)
+    ev 8 0 0 0.0 0.4; ev 8 1 1 0.4 0.6; ev 8 2 0 0.6 0.9; ev 8 3 2 0.9 1.0;
+    ev 9 0 0 0.0 0.45; ev 9 1 0 0.45 0.5;
+    (* missing initial event, and a late duplicate of a kept record *)
+    ev 10 1 1 0.2 0.5; ev 3 1 1 0.25 0.5;
+    (* per-field failures interleaved with good records *)
+    ev 11 0 0 0.0 0.5; ev 11 1 1 0.5 Float.nan; ev 11 1 1 0.5 0.7;
+    ev 12 0 0 0.0 0.55; ev 12 1 3 0.55 0.8; ev 12 1 2 0.55 0.8;
+    ev 13 0 0 0.0 (-0.5); ev 13 0 0 0.0 0.6; ev 13 1 1 0.6 0.4; ev 13 1 2 0.6 0.95;
+  ]
+
+let render_ingest = function
+  | Error (r : Trace.ingest_report) -> "error\n" ^ Format.asprintf "%a" Trace.pp_ingest_report r
+  | Ok ((t : Trace.t), r) ->
+      let buf = Buffer.create 4096 in
+      Printf.bprintf buf "queues %d tasks %d\n" t.Trace.num_queues t.Trace.num_tasks;
+      Array.iter
+        (fun (e : Trace.event) ->
+          Printf.bprintf buf "%d %d %d %h %h\n" e.Trace.task e.Trace.state e.Trace.queue
+            e.Trace.arrival e.Trace.departure)
+        t.Trace.events;
+      Buffer.add_string buf (Format.asprintf "%a" Trace.pp_ingest_report r);
+      Buffer.contents buf
+
+let check_pinned name expected rendered =
+  let got = Digest.to_hex (Digest.string rendered) in
+  if got <> expected then Alcotest.failf "%s: digest %s, expected %s; rendering:\n%s" name got expected rendered
+
+let test_lenient_pinned () =
+  let evs = pinned_corpus () in
+  let lines =
+    List.map
+      (fun (e : Trace.event) ->
+        Printf.sprintf "%d,%d,%d,%.17g,%.17g" e.Trace.task e.Trace.state e.Trace.queue
+          e.Trace.arrival e.Trace.departure)
+      evs
+  in
+  (* the CSV leg adds what only text can carry: a header, blank and
+     padded lines, CRLF endings and malformed records *)
+  let csv =
+    String.concat "\n"
+      ([ "task,state,queue,arrival,departure"; "" ]
+      @ List.mapi
+          (fun k l ->
+            match k mod 7 with
+            | 0 -> l ^ "\r"
+            | 3 -> " " ^ String.concat " , " (String.split_on_char ',' l) ^ "\t"
+            | _ -> l)
+          lines
+      @ [ "14,0,0,0"; "15,0,0,0,0.5,1"; "16,x,0,0,0.5"; "   "; "17,0,0,0,0x1p-1"; "17,1,1,0.5,0.9" ])
+  in
+  check_pinned "of_events_lenient" "68b8e7573a84b428917e59b80c781275" (render_ingest (Trace.of_events_lenient ~num_queues:3 evs));
+  check_pinned "of_csv_lenient" "456f93f489792b06a58700e0aa25a95f" (render_ingest (Trace.of_csv_lenient ~num_queues:3 csv));
+  (* equal counts at two entry queues: the tie is broken the same way *)
+  let tie = [ ev 0 0 1 0.0 0.2; ev 0 1 2 0.2 0.3; ev 1 0 0 0.0 0.3; ev 1 1 2 0.3 0.4 ] in
+  check_pinned "entry-queue tie" "460aee6fc22cd781632875a5fcde79ad" (render_ingest (Trace.of_events_lenient ~num_queues:3 tie));
+  check_pinned "nothing survives" "2bc4e96af008591918b11559a022cdf6"
+    (render_ingest (Trace.of_events_lenient ~num_queues:3 [ ev 0 1 1 0.5 0.7; ev 1 0 0 0.0 Float.nan ]))
+
 let () =
   Alcotest.run "qnet_trace"
     [
@@ -300,5 +383,6 @@ let () =
             test_lenient_no_final_newline;
           Alcotest.test_case "typed events match csv" `Quick
             test_lenient_events_match_csv;
+          Alcotest.test_case "pinned repair" `Quick test_lenient_pinned;
         ] );
     ]

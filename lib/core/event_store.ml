@@ -198,6 +198,16 @@ let set_departure t i d =
   if Float.is_nan d then invalid_arg "Event_store.set_departure: NaN";
   t.departure.(i) <- d
 
+let set_latent_departures t d =
+  if Array.length d <> Array.length t.departure then
+    invalid_arg "Event_store.set_latent_departures: length mismatch";
+  Array.iter
+    (fun i ->
+      let x = d.(i) in
+      if Float.is_nan x then invalid_arg "Event_store.set_latent_departures: NaN";
+      t.departure.(i) <- x)
+    t.latent
+
 let events_of_task t k = Array.copy t.by_task.(k)
 
 let events_at_queue t q =
@@ -319,9 +329,11 @@ let validate t =
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
   for i = 0 to num_events t - 1 do
-    if service t i < -.tol then
-      fail
-        (Printf.sprintf "event %d: negative service %.12g" i (service t i));
+    (* [service] inlined: a float returned by a call is boxed *)
+    let a = if t.pi.(i) < 0 then 0.0 else t.departure.(t.pi.(i)) in
+    let r = t.rho.(i) in
+    let s = t.departure.(i) -. if r < 0 then a else Float.max a t.departure.(r) in
+    if s < -.tol then fail (Printf.sprintf "event %d: negative service %.12g" i s);
     if t.departure.(i) < -.tol then
       fail (Printf.sprintf "event %d: negative departure" i)
   done;

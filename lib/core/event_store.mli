@@ -102,6 +102,11 @@ val set_departure : t -> int -> float -> unit
     observed event. No constraint checking — the sampler guarantees
     feasibility; call {!validate} in tests. *)
 
+val set_latent_departures : t -> float array -> unit
+(** Write [d.(i)] as the departure of every latent event [i]; observed
+    events keep theirs. Raises [Invalid_argument] on a length mismatch
+    or a NaN. *)
+
 val move_event : t -> int -> queue:int -> unit
 (** [move_event t i ~queue] re-homes event [i] to another queue: it is
     unlinked from its current within-queue (ρ) chain and inserted into

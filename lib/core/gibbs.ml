@@ -452,9 +452,8 @@ let sweep ?(shuffle = false) rng (store : Store.t) params =
         instrumented_sweep ~metrics ~profiling rng store rates order)
   else instrumented_sweep ~metrics ~profiling rng store rates order
 
-let run ?shuffle ?(on_sweep = fun _ -> ()) ~sweeps rng store params =
+let run ?shuffle ~sweeps rng store params =
   if sweeps < 0 then invalid_arg "Gibbs.run: negative sweep count";
-  for s = 1 to sweeps do
-    sweep ?shuffle rng store params;
-    on_sweep s
+  for _ = 1 to sweeps do
+    sweep ?shuffle rng store params
   done

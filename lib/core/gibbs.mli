@@ -85,15 +85,5 @@ val sweep :
     (default [false]). *)
 
 val run :
-  ?shuffle:bool ->
-  ?on_sweep:(int -> unit) ->
-  sweeps:int ->
-  Qnet_prob.Rng.t ->
-  Event_store.t ->
-  Params.t ->
-  unit
-(** [run ~sweeps rng store params] applies {!sweep} [sweeps] times.
-    [on_sweep] is called after each sweep with the 1-based sweep
-    number — the hook point used by the fault-tolerant runtime for
-    periodic validation and checkpointing. The hook must not consume
-    [rng] if reproducibility across checkpoint/resume matters. *)
+  ?shuffle:bool -> sweeps:int -> Qnet_prob.Rng.t -> Event_store.t -> Params.t -> unit
+(** [run ~sweeps rng store params] applies {!sweep} [sweeps] times. *)

@@ -54,12 +54,6 @@ let build_system ?(slack = 1e-9) store =
 
 let constraint_count store = snd (build_system store)
 
-let write_solution store solution =
-  let m = Store.num_events store in
-  for i = 0 to m - 1 do
-    if not (Store.observed store i) then Store.set_departure store i solution.(i)
-  done
-
 (* The "x_v >= x_u + slack" dependency edges: service non-negativity
    (pi(i) -> i and rho(i) -> i) and the per-queue arrival-order
    constraints (pi(i) -> pi(j) for consecutive arrivals i, j). These
@@ -166,7 +160,7 @@ let feasible ?strategy ?(slack = 1e-9) ?target store =
   match solved with
   | Error { Dcs.message } -> Error message
   | Ok solution ->
-      write_solution store solution;
+      Store.set_latent_departures store solution;
       (match Store.validate store with
       | Ok () -> Ok ()
       | Error msg -> Error ("initialization produced invalid state: " ^ msg))
@@ -216,7 +210,7 @@ let lp ?(slack = 1e-9) store params =
   | Simplex.Infeasible -> Error "LP initialization: infeasible"
   | Simplex.Unbounded -> Error "LP initialization: unbounded (bug)"
   | Simplex.Optimal { objective_value; solution } ->
-      write_solution store (Array.sub solution 0 m);
+      Store.set_latent_departures store (Array.sub solution 0 m);
       (match Store.validate store with
       | Ok () -> Ok objective_value
       | Error msg -> Error ("LP initialization produced invalid state: " ^ msg))

@@ -183,11 +183,7 @@ let run ?(config = default_config) ?init ?(on_window = fun _ -> ())
           burn_in = config.iterations / 2;
         }
       in
-      let result =
-        match !previous with
-        | None -> Stem.run ~config:stem_config rng store
-        | Some p -> Stem.run ~config:stem_config ~init:p rng store
-      in
+      let result = Stem.run ~config:stem_config ?init:!previous rng store in
       previous := Some result.Stem.params;
       let step =
         {

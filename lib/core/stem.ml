@@ -148,86 +148,179 @@ let mle_step ?prior store ~previous ~min_queue_events =
         prev
       end)
 
-let run_impl ~config ?init ?route_fsm ~diag_chain ~on_iteration rng store =
-  if config.iterations < 1 then invalid_arg "Stem.run: need at least one iteration";
-  if config.burn_in < 0 || config.burn_in >= config.iterations then
-    invalid_arg "Stem.run: burn_in must be in [0, iterations)";
-  let params0 = match init with Some p -> p | None -> initial_guess store in
-  (match Init.feasible ~strategy:config.init_strategy ~target:params0 store with
-  | Ok () -> ()
-  | Error msg -> failwith ("Stem.run: initialization failed: " ^ msg));
-  Span.with_span "stem.warmup" (fun () ->
-      Prof.with_phase "stem.warmup" (fun () ->
-          Gibbs.run ~shuffle:config.shuffle ~sweeps:config.warmup_sweeps rng
-            store params0));
-  let history = Array.make config.iterations params0 in
-  let llh = Array.make config.iterations nan in
-  let params = ref params0 in
-  let instrumented = Metrics.enabled () in
-  if instrumented then
-    Diagnostics.set_arrival_queue Diagnostics.default (Store.arrival_queue store);
-  for it = 0 to config.iterations - 1 do
+type checkpoint = {
+  iteration : int;
+  rng_state : int64 array;
+  params : Params.t;
+  anchor : Params.t;
+  snapshot : Store.snapshot;
+  history : Params.t array;
+  llh : float array;
+}
+
+let check_config who c =
+  let fail m = invalid_arg (who ^ ": " ^ m) in
+  if c.iterations < 1 then fail "need at least one iteration";
+  if c.burn_in < 0 || c.burn_in >= c.iterations then
+    fail "burn_in must be in [0, iterations)";
+  if c.warmup_sweeps < 0 then fail "warmup_sweeps must be >= 0"
+
+module Chain = struct
+  type t = {
+    config : config;
+    rng : Qnet_prob.Rng.t;
+    store : Store.t;
+    route_fsm : Qnet_fsm.Fsm.t option;
+    diag_chain : int;
+    anchor : Params.t;
+    prior : (float * Params.t) option;  (* the M-step's MAP prior, fixed by the anchor *)
+    history : Params.t array;  (* iterates; the valid prefix is [0, it) *)
+    llh : float array;
+    mutable params : Params.t;
+    mutable it : int;
+    mutable warmup_left : int;
+  }
+
+  let make config ?route_fsm ?(diag_chain = 0) ~anchor rng store =
+    if Metrics.enabled () then
+      Diagnostics.set_arrival_queue Diagnostics.default (Store.arrival_queue store);
+    let prior = if config.prior_strength > 0.0 then Some (config.prior_strength, anchor) else None in
+    { config; rng; store; route_fsm; diag_chain; anchor; prior;
+      history = Array.make config.iterations anchor;
+      llh = Array.make config.iterations nan;
+      params = anchor; it = 0; warmup_left = config.warmup_sweeps }
+
+  let create ?(config = default_config) ?init ?route_fsm ?diag_chain rng store =
+    check_config "Stem.Chain.create" config;
+    let anchor = match init with Some p -> p | None -> initial_guess store in
+    let c = make config ?route_fsm ?diag_chain ~anchor rng store in
+    Result.map (fun () -> c) (Init.feasible ~strategy:config.init_strategy ~target:anchor store)
+
+  let store c = c.store
+  let params c = c.params
+  let iteration c = c.it
+  let warmup_left c = c.warmup_left
+
+  let iterate c k = if k < c.it then c.history.(k) else invalid_arg "Stem.Chain.iterate"
+
+  let warmup_sweep c =
+    Prof.with_phase "stem.warmup" (fun () ->
+        Gibbs.sweep ~shuffle:c.config.shuffle c.rng c.store c.params);
+    if c.warmup_left > 0 then c.warmup_left <- c.warmup_left - 1
+
+  let warmup c =
+    Span.with_span "stem.warmup" (fun () -> while c.warmup_left > 0 do warmup_sweep c done)
+
+  let step ?(before_commit = fun _ _ -> ()) c =
+    let instrumented = Metrics.enabled () in
     let t0 = if instrumented then Clock.now () else 0.0 in
     Prof.with_phase "stem.iteration" (fun () ->
-    (* Stochastic E-step: one sweep under the current parameters, plus
-       a routing sweep when paths are uncertain. *)
-    Gibbs.sweep ~shuffle:config.shuffle rng store !params;
-    (match route_fsm with
-    | Some fsm -> ignore (Path_move.sweep rng store !params fsm)
-    | None -> ());
-    (* M-step (MAP when prior_strength > 0). *)
-    let prior =
-      if config.prior_strength > 0.0 then Some (config.prior_strength, params0)
-      else None
-    in
-    params :=
-      Prof.with_phase "stem.mstep" (fun () ->
-          mle_step ?prior store ~previous:!params
-            ~min_queue_events:config.min_queue_events);
-    history.(it) <- !params;
-    llh.(it) <-
-      Prof.with_phase "stem.loglik" (fun () ->
-          Store.log_likelihood store !params));
+        (* Stochastic E-step: one sweep under the current parameters,
+           plus a routing sweep when paths are uncertain. *)
+        Gibbs.sweep ~shuffle:c.config.shuffle c.rng c.store c.params;
+        (match c.route_fsm with
+        | Some fsm -> ignore (Path_move.sweep c.rng c.store c.params fsm)
+        | None -> ());
+        (* M-step (MAP when prior_strength > 0). *)
+        let p =
+          Prof.with_phase "stem.mstep" (fun () ->
+              mle_step ?prior:c.prior c.store ~previous:c.params
+                ~min_queue_events:c.config.min_queue_events)
+        in
+        before_commit c.it p;
+        c.params <- p;
+        c.history.(c.it) <- p;
+        c.llh.(c.it) <-
+          Prof.with_phase "stem.loglik" (fun () -> Store.log_likelihood c.store p));
     if instrumented then begin
       Metrics.Histogram.observe (Lazy.force m_iteration_seconds) (Clock.now () -. t0);
       Metrics.Counter.inc (Lazy.force m_iterations);
       (* Convergence diagnostics track the realized (imputed) per-queue
          means of this iterate — the same stochastic quantity the
          supervisor samples — not the smoothed parameter estimate. *)
-      Diagnostics.observe_iteration Diagnostics.default ~chain:diag_chain
-        ~waiting:(Store.mean_waiting_by_queue store)
-        (Store.mean_service_by_queue store);
-      Diagnostics.gc_tick Diagnostics.default
+      Diagnostics.observe_iteration Diagnostics.default ~chain:c.diag_chain
+        ~waiting:(Store.mean_waiting_by_queue c.store)
+        (Store.mean_service_by_queue c.store)
     end;
-    on_iteration it !params
-  done;
-  (* Average post-burn-in iterates in mean-service space. *)
-  let nq = Store.num_queues store in
-  let kept = config.iterations - config.burn_in in
-  let mean_service = Array.make nq 0.0 in
-  for it = config.burn_in to config.iterations - 1 do
-    for q = 0 to nq - 1 do
-      mean_service.(q) <-
-        mean_service.(q) +. (Params.mean_service history.(it) q /. float_of_int kept)
-    done
-  done;
-  let averaged =
-    Params.create
-      ~rates:(Array.map (fun s -> 1.0 /. s) mean_service)
-      ~arrival_queue:(Store.arrival_queue store)
-  in
-  {
-    params = averaged;
-    params_last = !params;
-    history;
-    mean_service;
-    log_likelihood_history = llh;
-  }
+    c.it <- c.it + 1
 
-let run ?(config = default_config) ?init ?route_fsm ?(diag_chain = 0)
+  let snapshot c =
+    { iteration = c.it; rng_state = Qnet_prob.Rng.state c.rng; params = c.params;
+      anchor = c.anchor; snapshot = Store.snapshot c.store;
+      history = Array.sub c.history 0 c.it; llh = Array.sub c.llh 0 c.it }
+
+  let restore c (ck : checkpoint) =
+    Store.restore c.store ck.snapshot;
+    c.params <- ck.params;
+    c.it <- ck.iteration;
+    Array.blit ck.history 0 c.history 0 ck.iteration;
+    Array.blit ck.llh 0 c.llh 0 ck.iteration;
+    c.warmup_left <- 0
+
+  let resume ?(config = default_config) rng store (ck : checkpoint) =
+    check_config "Stem.Chain.resume" config;
+    if Array.length ck.snapshot.Store.s_departure <> Store.num_events store then
+      Error "checkpoint event count does not match store"
+    else if Params.num_queues ck.params <> Store.num_queues store then
+      Error "checkpoint queue count does not match store"
+    else if ck.iteration > config.iterations then
+      Error "checkpoint is beyond the configured iteration count"
+    else begin
+      let c = make config ~anchor:ck.anchor rng store in
+      restore c ck;
+      Qnet_prob.Rng.set_state rng ck.rng_state;
+      Ok c
+    end
+
+  let restart c =
+    c.params <- c.anchor;
+    c.it <- 0;
+    c.warmup_left <- c.config.warmup_sweeps
+
+  let rejitter c = Init.feasible ~strategy:c.config.init_strategy ~target:c.anchor c.store
+
+  let average c =
+    let nq = Store.num_queues c.store in
+    let n = c.it in
+    (* Average post-burn-in iterates in mean-service space; a prefix
+       that never got past burn-in is averaged whole. *)
+    let mean_service =
+      if n = 0 then Array.init nq (Params.mean_service c.params)
+      else begin
+        let burn = if n > c.config.burn_in then c.config.burn_in else 0 in
+        let kept = n - burn in
+        let acc = Array.make nq 0.0 in
+        for i = burn to n - 1 do
+          for q = 0 to nq - 1 do
+            acc.(q) <-
+              acc.(q) +. (Params.mean_service c.history.(i) q /. float_of_int kept)
+          done
+        done;
+        acc
+      end
+    in
+    let rates = Array.map (fun s -> 1.0 /. s) mean_service in
+    { params = Params.create ~rates ~arrival_queue:(Store.arrival_queue c.store);
+      params_last = c.params; history = Array.sub c.history 0 n; mean_service;
+      log_likelihood_history = Array.sub c.llh 0 n }
+end
+
+let run ?(config = default_config) ?init ?route_fsm ?diag_chain
     ?(on_iteration = fun _ _ -> ()) rng store =
-  Span.with_span "stem.run" (fun () ->
-      run_impl ~config ?init ?route_fsm ~diag_chain ~on_iteration rng store)
+  Span.with_span "stem.run" @@ fun () ->
+  check_config "Stem.run" config;
+  let chain =
+    match Chain.create ~config ?init ?route_fsm ?diag_chain rng store with
+    | Ok c -> c
+    | Error msg -> failwith ("Stem.run: initialization failed: " ^ msg)
+  in
+  Chain.warmup chain;
+  for it = 0 to config.iterations - 1 do
+    Chain.step chain;
+    if Metrics.enabled () then Diagnostics.gc_tick Diagnostics.default;
+    on_iteration it (Chain.params chain)
+  done;
+  Chain.average chain
 
 let estimate_waiting ?(sweeps = 100) ?(burn_in = 50) rng store params =
   if burn_in < 0 || burn_in >= sweeps then
@@ -248,24 +341,3 @@ let estimate_waiting ?(sweeps = 100) ?(burn_in = 50) rng store params =
       done;
       acc)
 
-let run_chains ?(config = default_config) ?(chains = 4) ~seed make_store =
-  if chains < 2 then invalid_arg "Stem.run_chains: need at least two chains";
-  let results =
-    Array.init chains (fun c ->
-        let rng = Qnet_prob.Rng.create ~seed:(seed + (c * 7919)) () in
-        run ~config ~diag_chain:c rng (make_store ()))
-  in
-  let nq = Params.num_queues results.(0).params in
-  let kept = config.iterations - config.burn_in in
-  let rhat =
-    Array.init nq (fun q ->
-        let traces =
-          Array.map
-            (fun r ->
-              Array.init kept (fun i ->
-                  Params.mean_service r.history.(config.burn_in + i) q))
-            results
-        in
-        Qnet_prob.Statistics.gelman_rubin traces)
-  in
-  (results, rhat)

@@ -59,6 +59,101 @@ val mle_step :
     rate MLE, or MAP when [prior] = (strength, anchor params) is
     given. *)
 
+val check_config : string -> config -> unit
+(** [check_config who c] raises [Invalid_argument "<who>: ..."] unless
+    [iterations >= 1], [0 <= burn_in < iterations] and
+    [warmup_sweeps >= 0]. *)
+
+type checkpoint = {
+  iteration : int;  (** iterations completed when the state was captured *)
+  rng_state : int64 array;  (** 4-word xoshiro256++ state *)
+  params : Params.t;  (** current iterate *)
+  anchor : Params.t;
+      (** the initial parameters anchoring the M-step's MAP prior —
+          without it a resumed run would re-derive a different prior
+          and diverge from the uninterrupted one *)
+  snapshot : Event_store.snapshot;
+  history : Params.t array;  (** iterates [0 .. iteration-1] *)
+  llh : float array;  (** log-likelihood per completed iteration *)
+}
+(** Everything needed to continue a chain bit for bit. *)
+
+(** One StEM chain, the loop of Section 4: a feasible start, warm-up
+    sweeps, then one E-step sweep and one M-step per {!step}. It owns
+    the store, RNG, anchor and prior, the current iterate, the
+    iteration count and the histories. {!run} drives it plainly;
+    [Qnet_runtime.Runtime] adds health checks, rollback, checkpoint
+    files and a budget around {!step}; [Qnet_runtime.Supervisor] runs
+    several on their own domains with heartbeats and restarts. *)
+module Chain : sig
+  type t
+
+  val create :
+    ?config:config ->
+    ?init:Params.t ->
+    ?route_fsm:Qnet_fsm.Fsm.t ->
+    ?diag_chain:int ->
+    Qnet_prob.Rng.t ->
+    Event_store.t ->
+    (t, string) Stdlib.result
+  (** {!check_config}, then {!Init.feasible} towards [init] (default
+      {!initial_guess}), which becomes the anchor; [Error] carries the
+      initializer's reason. Other arguments as for {!run}. *)
+
+  val resume :
+    ?config:config ->
+    Qnet_prob.Rng.t ->
+    Event_store.t ->
+    checkpoint ->
+    (t, string) Stdlib.result
+  (** The chain that wrote [checkpoint], continued (without a route
+      FSM, diagnostics chain 0): store, iterate, history and RNG
+      restored, no initialization or warm-up. [Error] when it does not
+      fit [store] or lies beyond [config.iterations]. *)
+
+  val store : t -> Event_store.t
+  val params : t -> Params.t
+  val iteration : t -> int
+
+  val iterate : t -> int -> Params.t
+  (** [iterate c k] is iterate [k] of the [iteration c] completed. *)
+
+  val warmup_left : t -> int
+
+  val warmup_sweep : t -> unit
+  (** One Gibbs sweep under the current iterate, no M-step; counts
+      against {!warmup_left}. *)
+
+  val warmup : t -> unit
+  (** The remaining warm-up sweeps. *)
+
+  val step : ?before_commit:(int -> Params.t -> unit) -> t -> unit
+  (** One iteration: a Gibbs sweep, the {!Path_move} routing sweep
+      when there is a [route_fsm], the M-step ({!mle_step}), then the
+      iterate and its log-likelihood are recorded. Records the
+      [stem.iteration]/[stem.mstep]/[stem.loglik] profiler phases and,
+      with metrics on, the [qnet_stem_iteration*] metrics and the
+      chain's diagnostics. [before_commit it p] runs just before the
+      record; if it raises, iteration [it] is not recorded. *)
+
+  val snapshot : t -> checkpoint
+
+  val restore : t -> checkpoint -> unit
+  (** Roll back to a snapshot of this chain, keeping the RNG: it has
+      advanced past the failure, so the retry takes a new path. *)
+
+  val restart : t -> unit
+  (** Back to the anchor at iteration 0, warm-up due again. *)
+
+  val rejitter : t -> (unit, string) Stdlib.result
+  (** {!Init.feasible} towards the anchor, after a rollback. *)
+
+  val average : t -> result
+  (** The completed prefix: iterates averaged in mean-service space
+      after [burn_in] (over the whole prefix when it is not longer
+      than [burn_in]; the current iterate when it is empty). *)
+end
+
 val run :
   ?config:config ->
   ?init:Params.t ->
@@ -82,8 +177,8 @@ val run :
     [Failure] if initialization fails (inconsistent observations).
     [on_iteration] is called after each M-step with the 0-based
     iteration index and the fresh iterate — a progress/monitoring
-    hook (the fault-tolerant runtime in [Qnet_runtime] drives its own
-    loop to be able to roll back, but external monitors use this). *)
+    hook. This is {!Chain} driven plainly: create, warm up, step
+    [iterations] times, {!Chain.average}. *)
 
 val estimate_waiting :
   ?sweeps:int ->
@@ -96,22 +191,3 @@ val estimate_waiting :
     (the paper's final step): run the Gibbs sampler for [sweeps]
     (default 100) sweeps, discard [burn_in] (default 50), and average
     each queue's mean waiting time across retained sweeps. *)
-
-val run_chains :
-  ?config:config ->
-  ?chains:int ->
-  seed:int ->
-  (unit -> Event_store.t) ->
-  result array * float array
-(** [run_chains ~seed make_store] runs [chains] (default 4)
-    independent StEM chains — fresh stores from [make_store], distinct
-    seeds derived from [seed] — and returns the per-chain results
-    together with the Gelman–Rubin R̂ of each queue's mean-service
-    trajectory (post-burn-in). Values near 1 certify that the reported
-    estimates do not depend on the Monte Carlo path; the experiment
-    harness treats R̂ > 1.2 as a red flag. Caveat: statistics that are
-    almost deterministic within a chain — notably the arrival rate,
-    whose sufficient statistic telescopes to the (anchored) horizon —
-    have vanishing within-chain variance and can show inflated R̂
-    while agreeing across chains to a fraction of a percent; compare
-    the actual estimates in that case. *)

@@ -77,7 +77,7 @@ val gc_tick : t -> unit
 val set_arrival_queue : t -> int -> unit
 (** Mark the virtual arrival queue so the convergence verdict and the
     bottleneck ranking skip it (its R̂ is structurally inflated — see
-    the {!Qnet_core.Stem.run_chains} caveat). *)
+    the caveat on [Qnet_runtime.Supervisor.result.rhat]). *)
 
 val set_chain_status : t -> chain:int -> string -> unit
 (** Record a chain's latest supervisor verdict ("healthy",

@@ -22,7 +22,7 @@ let m_written =
     (Metrics.Counter.create ~help:"Checkpoints persisted to disk"
        "qnet_checkpoints_written_total")
 
-type t = {
+type t = Qnet_core.Stem.checkpoint = {
   iteration : int;
   rng_state : int64 array;
   params : Params.t;

@@ -1,28 +1,21 @@
-(** Atomic, versioned checkpoints of the sampler state.
+(** Atomic, versioned checkpoints of a {!Qnet_core.Stem.Chain}: the
+    latent state, the current and anchor parameters, the iterate
+    history and the raw RNG state. The on-disk format is a
+    little-endian binary codec with a magic tag, an explicit version
+    word, and a trailing FNV-1a checksum; writes go to a temporary file
+    that is renamed into place, so a crash mid-write can never destroy
+    the previous good checkpoint. *)
 
-    A checkpoint captures everything needed to continue a stochastic-EM
-    run bit-for-bit: the latent state of the {!Qnet_core.Event_store}
-    (departures plus the chain structure a routing move may have
-    rearranged), the current and anchor parameters, the full iterate
-    history (so post-burn-in averages survive the restart), and the raw
-    xoshiro256++ RNG state. The on-disk format is a little-endian
-    binary codec with a magic tag, an explicit version word, and a
-    trailing FNV-1a checksum; writes go to a temporary file that is
-    renamed into place, so a crash mid-write can never destroy the
-    previous good checkpoint. *)
-
-type t = {
-  iteration : int;  (** iterations completed when the state was captured *)
-  rng_state : int64 array;  (** 4-word xoshiro256++ state *)
-  params : Qnet_core.Params.t;  (** current iterate *)
+type t = Qnet_core.Stem.checkpoint = {
+  iteration : int;
+  rng_state : int64 array;
+  params : Qnet_core.Params.t;
   anchor : Qnet_core.Params.t;
-      (** the initial parameters anchoring the M-step's MAP prior —
-          without it a resumed run would re-derive a different prior
-          and diverge from the uninterrupted one *)
   snapshot : Qnet_core.Event_store.snapshot;
-  history : Qnet_core.Params.t array;  (** iterates [0 .. iteration-1] *)
-  llh : float array;  (** log-likelihood per completed iteration *)
+  history : Qnet_core.Params.t array;
+  llh : float array;
 }
+(** The chain's record, taken by {!Qnet_core.Stem.Chain.snapshot}. *)
 
 val version : int
 (** Current codec version (readers reject other versions). *)

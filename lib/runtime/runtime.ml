@@ -1,9 +1,6 @@
-module Rng = Qnet_prob.Rng
-module Store = Qnet_core.Event_store
 module Params = Qnet_core.Params
 module Stem = Qnet_core.Stem
-module Gibbs = Qnet_core.Gibbs
-module Init = Qnet_core.Init
+module Chain = Stem.Chain
 module Metrics = Qnet_obs.Metrics
 module Span = Qnet_obs.Span
 
@@ -81,55 +78,33 @@ let pp_report ppf r =
    only ever flows through the high-water-marked telemetry clock. *)
 let now () = Qnet_obs.Clock.now ()
 
+(* A health check failing inside [Chain.step]'s [before_commit] hook:
+   the iteration is not recorded and the run rolls back. *)
+exception Unhealthy of string
+
 let run ?(config = default_config) ?init ?resume ?chaos rng store =
   Span.with_span "runtime.run" @@ fun () ->
   let c = config.stem in
-  if c.Stem.iterations < 1 then invalid_arg "Runtime.run: need at least one iteration";
-  if c.Stem.burn_in < 0 || c.Stem.burn_in >= c.Stem.iterations then
-    invalid_arg "Runtime.run: burn_in must be in [0, iterations)";
+  Stem.check_config "Runtime.run" c;
   if config.validate_every < 1 then
     invalid_arg "Runtime.run: validate_every must be >= 1";
   if config.checkpoint_every < 0 then
     invalid_arg "Runtime.run: checkpoint_every must be >= 0";
   if config.max_retries < 0 then invalid_arg "Runtime.run: max_retries must be >= 0";
   let t0 = now () in
-  let nq = Store.num_queues store in
   let iterations = c.Stem.iterations in
-  let anchor, start_it, history, llh =
+  let chain =
     match resume with
-    | Some ck ->
-        if Array.length ck.Checkpoint.snapshot.Store.s_departure <> Store.num_events store
-        then invalid_arg "Runtime.run: checkpoint event count does not match store";
-        if Params.num_queues ck.Checkpoint.params <> nq then
-          invalid_arg "Runtime.run: checkpoint queue count does not match store";
-        if ck.Checkpoint.iteration > iterations then
-          invalid_arg "Runtime.run: checkpoint is beyond the configured iteration count";
-        Store.restore store ck.Checkpoint.snapshot;
-        Rng.set_state rng ck.Checkpoint.rng_state;
-        let history = Array.make iterations ck.Checkpoint.params in
-        let llh = Array.make iterations nan in
-        Array.blit ck.Checkpoint.history 0 history 0 ck.Checkpoint.iteration;
-        Array.blit ck.Checkpoint.llh 0 llh 0 ck.Checkpoint.iteration;
-        (ck.Checkpoint.anchor, ck.Checkpoint.iteration, history, llh)
-    | None ->
-        let params0 = match init with Some p -> p | None -> Stem.initial_guess store in
-        (match Init.feasible ~strategy:c.Stem.init_strategy ~target:params0 store with
-        | Ok () -> ()
-        | Error msg -> failwith ("Runtime.run: initialization failed: " ^ msg));
-        Gibbs.run ~shuffle:c.Stem.shuffle ~sweeps:c.Stem.warmup_sweeps rng store params0;
-        (params0, 0, Array.make iterations params0, Array.make iterations nan)
-  in
-  let params = ref (match resume with Some ck -> ck.Checkpoint.params | None -> anchor) in
-  let make_ck it =
-    {
-      Checkpoint.iteration = it;
-      rng_state = Rng.state rng;
-      params = !params;
-      anchor;
-      snapshot = Store.snapshot store;
-      history = Array.sub history 0 it;
-      llh = Array.sub llh 0 it;
-    }
+    | Some ck -> (
+        match Chain.resume ~config:c rng store ck with
+        | Ok chain -> chain
+        | Error msg -> invalid_arg ("Runtime.run: " ^ msg))
+    | None -> (
+        match Chain.create ~config:c ?init rng store with
+        | Ok chain ->
+            Chain.warmup chain;
+            chain
+        | Error msg -> failwith ("Runtime.run: initialization failed: " ^ msg))
   in
   let checkpoints_written = ref 0 in
   let persist ck =
@@ -141,53 +116,42 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
   in
   (* The rollback point. Even with checkpointing disabled we keep the
      initial state so the first recovery has somewhere to go. *)
-  let last_good = ref (make_ck start_it) in
+  let last_good = ref (Chain.snapshot chain) in
   let incidents = ref [] in
   let retries = ref 0 in
   let validate_every = ref config.validate_every in
-  let it = ref start_it in
   let stop = ref None in
-  let prior =
-    if c.Stem.prior_strength > 0.0 then Some (c.Stem.prior_strength, anchor) else None
+  let at_checkpoint it =
+    config.checkpoint_every > 0 && (it + 1) mod config.checkpoint_every = 0
   in
-  while !stop = None && !it < iterations do
-    let outcome =
-      try
-        Gibbs.sweep ~shuffle:c.Stem.shuffle rng store !params;
-        let p =
-          Stem.mle_step ?prior store ~previous:!params
-            ~min_queue_events:c.Stem.min_queue_events
-        in
-        (match chaos with Some f -> f !it store | None -> ());
-        let next = !it + 1 in
-        let at_validation = next mod !validate_every = 0 || next = iterations in
-        let at_checkpoint =
-          config.checkpoint_every > 0 && next mod config.checkpoint_every = 0
-        in
-        (* Always validate what is about to become a rollback point: a
-           poisoned "last good" state would make recovery a no-op. *)
-        if at_validation || at_checkpoint then begin
-          match Health.check store p with
-          | [] -> Ok p
-          | vs -> Error (Health.describe vs)
-        end
-        else Ok p
-      with exn -> Error ("exception: " ^ Printexc.to_string exn)
-    in
-    (match outcome with
-    | Ok p ->
-        params := p;
-        history.(!it) <- p;
-        llh.(!it) <- Store.log_likelihood store p;
-        incr it;
+  (* Runs between the M-step and the record of iteration [it]. *)
+  let before_commit it p =
+    (match chaos with Some f -> f it store | None -> ());
+    let at_validation = (it + 1) mod !validate_every = 0 || it + 1 = iterations in
+    (* Always validate what is about to become a rollback point: a
+       poisoned "last good" state would make recovery a no-op. *)
+    if at_validation || at_checkpoint it then
+      match Health.check store p with
+      | [] -> ()
+      | vs -> raise (Unhealthy (Health.describe vs))
+  in
+  while !stop = None && Chain.iteration chain < iterations do
+    let at = Chain.iteration chain in
+    (match Chain.step ~before_commit chain with
+    | () ->
         if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_iterations);
-        if config.checkpoint_every > 0 && !it mod config.checkpoint_every = 0 then begin
-          let ck = make_ck !it in
+        if at_checkpoint at then begin
+          let ck = Chain.snapshot chain in
           last_good := ck;
           persist ck
         end
-    | Error cause ->
-        incidents := { at_iteration = !it; cause } :: !incidents;
+    | exception exn ->
+        let cause =
+          match exn with
+          | Unhealthy cause -> cause
+          | exn -> "exception: " ^ Printexc.to_string exn
+        in
+        incidents := { at_iteration = at; cause } :: !incidents;
         if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_incidents);
         if !retries >= config.max_retries then
           stop :=
@@ -197,62 +161,37 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
                     config.max_retries cause))
         else begin
           incr retries;
-          (* Roll back to the last state that passed validation... *)
-          let ck = !last_good in
-          Store.restore store ck.Checkpoint.snapshot;
-          params := ck.Checkpoint.params;
-          it := ck.Checkpoint.iteration;
-          (* ...re-jitter the latents (Init restores feasibility even
-             if the rollback state was somehow damaged in memory), and
+          (* Roll back to the last state that passed validation,
+             re-jitter the latents (Init restores feasibility even if
+             the rollback state was somehow damaged in memory), and
              take one fresh sweep: the RNG has advanced past the state
              that led into the fault, so the retry follows a different
              sampling path instead of replaying the crash. *)
-          (match Init.feasible ~strategy:c.Stem.init_strategy ~target:anchor store with
-          | Ok () -> ()
-          | Error msg ->
-              stop := Some (Aborted ("re-initialization failed: " ^ msg)));
-          if !stop = None then begin
-            Gibbs.sweep ~shuffle:c.Stem.shuffle rng store !params;
-            (* Exponential backoff on the validation cadence: repeated
-               transient violations should not thrash rollback. *)
-            validate_every := Stdlib.min (2 * !validate_every) iterations
-          end
+          Chain.restore chain !last_good;
+          match Chain.rejitter chain with
+          | Error msg -> stop := Some (Aborted ("re-initialization failed: " ^ msg))
+          | Ok () ->
+              Chain.warmup_sweep chain;
+              (* Exponential backoff on the validation cadence: repeated
+                 transient violations should not thrash rollback. *)
+              validate_every := Stdlib.min (2 * !validate_every) iterations
         end);
     match config.max_seconds with
-    | Some budget when !stop = None && !it < iterations && now () -. t0 >= budget ->
+    | Some budget
+      when !stop = None && Chain.iteration chain < iterations && now () -. t0 >= budget ->
         stop := Some Budget_exhausted
     | _ -> ()
   done;
-  let done_ = !it in
+  let done_ = Chain.iteration chain in
   (* Persist the final state when it is not already on disk, so a
      budget-exhausted or completed run can be extended later. *)
   if config.checkpoint_every > 0 && done_ > 0 && done_ mod config.checkpoint_every <> 0
-  then persist (make_ck done_);
-  let mean_service =
-    if done_ = 0 then Array.init nq (fun q -> Params.mean_service !params q)
-    else begin
-      let burn = if done_ > c.Stem.burn_in then c.Stem.burn_in else 0 in
-      let kept = done_ - burn in
-      let acc = Array.make nq 0.0 in
-      for i = burn to done_ - 1 do
-        for q = 0 to nq - 1 do
-          acc.(q) <- acc.(q) +. (Params.mean_service history.(i) q /. float_of_int kept)
-        done
-      done;
-      acc
-    end
-  in
-  let averaged =
-    Params.create
-      ~rates:(Array.map (fun s -> 1.0 /. s) mean_service)
-      ~arrival_queue:(Store.arrival_queue store)
+  then persist (Chain.snapshot chain);
+  let { Stem.params; params_last; history; mean_service; log_likelihood_history } =
+    Chain.average chain
   in
   {
-    params = averaged;
-    params_last = !params;
-    history = Array.sub history 0 done_;
-    mean_service;
-    log_likelihood_history = Array.sub llh 0 done_;
+    params; params_last; history; mean_service; log_likelihood_history;
     status = (match !stop with Some s -> s | None -> Completed);
     report =
       {

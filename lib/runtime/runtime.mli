@@ -1,27 +1,22 @@
-(** Fault-tolerant driver for stochastic-EM inference.
+(** Fault-tolerant driver for stochastic-EM inference: the
+    {!Qnet_core.Stem.Chain} loop under a production harness, for long
+    runs over dirty data.
 
-    The paper's deployment story — localizing performance problems from
-    ~1% samples of production traces — implies long sampling runs over
-    dirty data. This module wraps the Gibbs/StEM loop of
-    {!Qnet_core.Stem} in a production harness:
-
-    - {b checkpointing}: every [checkpoint_every] iterations the full
-      sampler state (latents, parameters, iterate history, RNG) is
-      captured; with a [checkpoint_path] it is also written atomically
-      to disk ({!Checkpoint}), so a killed process resumes exactly
-      where it stopped — bit-identical to the uninterrupted run.
+    - {b checkpointing}: every [checkpoint_every] iterations the chain
+      is captured; with a [checkpoint_path] it is also written
+      atomically to disk ({!Checkpoint}), so a killed process resumes
+      bit-identical to the uninterrupted run.
     - {b validation}: every [validate_every] iterations (and at every
       checkpoint boundary, so a checkpoint is never poisoned)
-      {!Health.check} asserts the model's invariants.
-    - {b recovery}: a violation or an exception rolls the state back to
-      the last good checkpoint, re-jitters the latents via
-      {!Qnet_core.Init.feasible} (the RNG has advanced, so the retry
-      explores a different sampling path), and doubles the validation
-      interval — exponential backoff. After [max_retries] recoveries
-      the run aborts cleanly, still returning every sample collected.
-    - {b budgets}: an optional wall-clock budget ends the run
-      gracefully with the partial posterior instead of a SIGKILL
-      losing everything. *)
+      {!Health.check} runs before the iteration is recorded.
+    - {b recovery}: a violation or an exception rolls the chain back to
+      the last good checkpoint, re-jitters the latents and takes one
+      fresh sweep (the RNG has advanced, so the retry explores a
+      different path), and doubles the validation interval. After
+      [max_retries] recoveries the run aborts, still returning every
+      sample collected.
+    - {b budgets}: an optional wall-clock budget ends the run with the
+      partial posterior. *)
 
 type config = {
   stem : Qnet_core.Stem.config;  (** the wrapped StEM configuration *)

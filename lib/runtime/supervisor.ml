@@ -1,8 +1,7 @@
 module Store = Qnet_core.Event_store
 module Params = Qnet_core.Params
 module Stem = Qnet_core.Stem
-module Gibbs = Qnet_core.Gibbs
-module Init = Qnet_core.Init
+module Chain = Stem.Chain
 module Rng = Qnet_prob.Rng
 module Statistics = Qnet_prob.Statistics
 module Welford = Statistics.Welford
@@ -256,57 +255,53 @@ end
 
 type chain_state = {
   id : int;
-  store : Store.t;
-  rng : Rng.t;
-  anchor : Params.t;
-  history : Params.t array;  (* iterates; the valid prefix is [0, it) *)
-  llh : float array;
+  chain : Chain.t option;  (* [None] when the start was infeasible: the chain is [Dead] *)
   samples : float array array;
-      (* realized mean service per queue per iteration — kept alongside
-         [history] so the Welford accumulators can be rebuilt over the
-         surviving prefix after a rollback, preserving NaN-skip
-         accounting over exactly the samples that still count *)
+      (* realized mean service per queue per iteration; a rollback
+         leaves the surviving prefix, so the verdict's NaN-skip
+         accounting covers exactly the samples that still count *)
   hb : Watchdog.Heartbeat.t;
   age_gauge : Metrics.Gauge.t;
   cancel : bool Atomic.t;
   mailbox : mailbox;
   faults : armed_fault array;
-  mutable params : Params.t;  (* qnet-lint: racy-ok C001 round hand-off: the chain domain owns st from the mailbox's Go until it sets the heartbeat's done flag; the supervisor touches it only between rounds *)
-  mutable it : int;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable restarts : int;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable incidents : (int * string) list;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable status : chain_status;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable last_good : Checkpoint.t option;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable outcome : round_outcome;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable stall_flagged : bool;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable abandoned : bool;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable warmed : bool;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
-  mutable welford : Welford.t array;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see params) *)
+  mutable restarts : int;  (* qnet-lint: racy-ok C001 round hand-off: the chain domain owns st from the mailbox's Go until it sets the heartbeat's done flag; the supervisor touches it only between rounds *)
+  mutable incidents : (int * string) list;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see restarts) *)
+  mutable status : chain_status;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see restarts) *)
+  mutable last_good : Checkpoint.t option;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see restarts) *)
+  mutable outcome : round_outcome;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see restarts) *)
+  mutable stall_flagged : bool;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see restarts) *)
+  mutable abandoned : bool;  (* qnet-lint: racy-ok C001 mailbox/done-flag round hand-off (see restarts) *)
 }
+
+(* Only [Healthy] chains are driven; one without a start is [Dead]. *)
+let chain st = Option.get st.chain
+
+let iterations_done st =
+  match st.chain with Some ch -> Chain.iteration ch | None -> 0
 
 (* Same clamped time source as Runtime.now: watchdog deadlines and
    heartbeat ages must agree with telemetry timestamps across domains. *)
 let now () = Qnet_obs.Clock.now ()
 
-let fresh_welford nq = Array.init nq (fun _ -> Welford.create ())
-
+(* A chain's store, RNG and feasible start; returns the anchor too, for
+   the fallback estimate when no chain gets past burn-in. *)
 let init_chain cfg ~seed ~init make_store faults id =
   let store = make_store () in
   let rng = Rng.create ~seed:(seed + (id * 7919)) () in
   let anchor =
     match init with Some p -> p | None -> Stem.initial_guess store
   in
-  let nq = Store.num_queues store in
-  let iterations = cfg.stem.Stem.iterations in
-  let st =
+  let chain, status =
+    match Chain.create ~config:cfg.stem ~init:anchor ~diag_chain:id rng store with
+    | Ok ch -> (Some ch, Healthy)
+    | Error msg -> (None, Dead ("initialization failed: " ^ msg))
+  in
+  ( anchor,
     {
       id;
-      store;
-      rng;
-      anchor;
-      history = Array.make iterations anchor;
-      llh = Array.make iterations Float.nan;
-      samples = Array.init iterations (fun _ -> Array.make nq Float.nan);
+      chain;
+      samples = Array.make cfg.stem.Stem.iterations [||];
       hb = Watchdog.Heartbeat.create ();
       age_gauge = m_heartbeat_age id;
       cancel = Atomic.make false;
@@ -316,95 +311,60 @@ let init_chain cfg ~seed ~init make_store faults id =
         List.filter (fun f -> f.Fault.chain = id) faults
         |> List.map (fun spec -> { spec; fired = false })
         |> Array.of_list;
-      params = anchor;
-      it = 0;
       restarts = 0;
       incidents = [];
-      status = Healthy;
+      status;
       last_good = None;
       outcome = Round_ok;
       stall_flagged = false;
       abandoned = false;
-      warmed = false;
-      welford = fresh_welford nq;
-    }
-  in
-  (match
-     Init.feasible ~strategy:cfg.stem.Stem.init_strategy ~target:anchor store
-   with
-  | Ok () -> ()
-  | Error msg -> st.status <- Dead ("initialization failed: " ^ msg));
-  st
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* The chain worker — runs on its own domain, one round at a time.     *)
 (* ------------------------------------------------------------------ *)
 
-let fire_pre_step_faults st =
+(* Stalls and crashes fire before iteration [it]'s sweep; latent
+   corruption after its M-step. *)
+let fire_faults st store ~after_mstep it =
   Array.iter
     (fun af ->
-      if (not af.fired) && af.spec.Fault.at_iteration = st.it then
-        match af.spec.Fault.kind with
-        | Fault.Chain_stall d ->
+      if (not af.fired) && af.spec.Fault.at_iteration = it then
+        match (af.spec.Fault.kind, after_mstep) with
+        | Fault.Chain_stall d, false ->
             af.fired <- true;
             Unix.sleepf d
-        | Fault.Chain_crash ->
+        | Fault.Chain_crash, false ->
             af.fired <- true;
-            raise (Fault.Injected_crash { chain = st.id; iteration = st.it })
-        | Fault.Chain_corrupt_latent -> ())
+            raise (Fault.Injected_crash { chain = st.id; iteration = it })
+        | Fault.Chain_corrupt_latent, true ->
+            af.fired <- true;
+            ignore (Fault.corrupt_one_latent store)
+        | _ -> ())
     st.faults
 
-let fire_post_step_faults st =
-  Array.iter
-    (fun af ->
-      if (not af.fired) && af.spec.Fault.at_iteration = st.it then
-        match af.spec.Fault.kind with
-        | Fault.Chain_corrupt_latent ->
-            af.fired <- true;
-            ignore (Fault.corrupt_one_latent st.store)
-        | Fault.Chain_stall _ | Fault.Chain_crash -> ())
-    st.faults
-
-let run_round cfg st ~stop_at =
+let run_round st ~stop_at =
   Span.with_span "chain.round"
     ~attrs:
       [ ("chain", string_of_int st.id); ("stop_at", string_of_int stop_at) ]
   @@ fun () ->
-  let c = cfg.stem in
+  let ch = chain st in
+  let store = Chain.store ch in
   (try
-     if not st.warmed then begin
-       for k = 1 to c.Stem.warmup_sweeps do
-         if not (Atomic.get st.cancel) then begin
-           Watchdog.Heartbeat.beat st.hb ~now:(now ())
-             ~sweep:(k - c.Stem.warmup_sweeps - 1);
-           Gibbs.sweep ~shuffle:c.Stem.shuffle st.rng st.store st.params
-         end
-       done;
-       st.warmed <- true
-     end;
-     let prior =
-       if c.Stem.prior_strength > 0.0 then
-         Some (c.Stem.prior_strength, st.anchor)
-       else None
-     in
-     while st.it < stop_at && not (Atomic.get st.cancel) do
-       Watchdog.Heartbeat.beat st.hb ~now:(now ()) ~sweep:st.it;
-       fire_pre_step_faults st;
-       Gibbs.sweep ~shuffle:c.Stem.shuffle st.rng st.store st.params;
-       let p =
-         Stem.mle_step ?prior st.store ~previous:st.params
-           ~min_queue_events:c.Stem.min_queue_events
-       in
+     while Chain.warmup_left ch > 0 && not (Atomic.get st.cancel) do
+       Watchdog.Heartbeat.beat st.hb ~now:(now ()) ~sweep:(-Chain.warmup_left ch);
+       Chain.warmup_sweep ch
+     done;
+     while Chain.iteration ch < stop_at && not (Atomic.get st.cancel) do
+       let it = Chain.iteration ch in
+       Watchdog.Heartbeat.beat st.hb ~now:(now ()) ~sweep:it;
+       fire_faults st store ~after_mstep:false it;
        (* Latent corruption lands after the M-step: the damage shows in
           this iteration's recorded sample (Welford skips the NaN) and,
           if it survives the next sweep, in the barrier health check. *)
-       fire_post_step_faults st;
-       st.params <- p;
-       st.history.(st.it) <- p;
-       st.llh.(st.it) <- Store.log_likelihood st.store p;
-       let realized = Store.mean_service_by_queue st.store in
-       Array.blit realized 0 st.samples.(st.it) 0 (Array.length realized);
-       Array.iteri (fun q v -> Welford.add st.welford.(q) v) realized;
+       Chain.step ch ~before_commit:(fun it _ -> fire_faults st store ~after_mstep:true it);
+       let realized = Store.mean_service_by_queue store in
+       st.samples.(it) <- realized;
        if Metrics.enabled () then begin
          let ok = ref 0 and bad = ref 0 in
          Array.iter
@@ -413,24 +373,20 @@ let run_round cfg st ~stop_at =
          if !ok > 0 then
            Metrics.Counter.inc ~by:(float_of_int !ok) (Lazy.force m_samples_ok);
          if !bad > 0 then
-           Metrics.Counter.inc ~by:(float_of_int !bad) (Lazy.force m_samples_bad);
-         Diagnostics.observe_iteration Diagnostics.default ~chain:st.id
-           ~waiting:(Store.mean_waiting_by_queue st.store)
-           realized
-       end;
-       st.it <- st.it + 1
+           Metrics.Counter.inc ~by:(float_of_int !bad) (Lazy.force m_samples_bad)
+       end
      done
    with exn -> st.outcome <- Round_crashed (Printexc.to_string exn));
   Watchdog.Heartbeat.mark_done st.hb
 
 (* A chain's domain for the whole run: one round per [Go], then a wake
    for the supervisor, until [Quit]. *)
-let chain_worker cfg st wake =
+let chain_worker st wake =
   let rec loop () =
     match take st.mailbox with
     | Quit -> ()
     | Go stop_at ->
-        run_round cfg st ~stop_at;
+        run_round st ~stop_at;
         Wake.signal wake;
         loop ()
   in
@@ -443,31 +399,12 @@ let chain_worker cfg st wake =
 let capture st =
   let instrumented = Metrics.enabled () in
   let t0 = if instrumented then Clock.now () else 0.0 in
-  let ck =
-    {
-      Checkpoint.iteration = st.it;
-      rng_state = Rng.state st.rng;
-      params = st.params;
-      anchor = st.anchor;
-      snapshot = Store.snapshot st.store;
-      history = Array.sub st.history 0 st.it;
-      llh = Array.sub st.llh 0 st.it;
-    }
-  in
+  let ck = Chain.snapshot (chain st) in
   if instrumented then begin
     Metrics.Histogram.observe (Lazy.force m_checkpoint_seconds) (Clock.now () -. t0);
     Metrics.Counter.inc (Lazy.force m_checkpoints)
   end;
   ck
-
-let rebuild_accumulators st =
-  let nq = Array.length st.welford in
-  st.welford <- fresh_welford nq;
-  for i = 0 to st.it - 1 do
-    for q = 0 to nq - 1 do
-      Welford.add st.welford.(q) st.samples.(i).(q)
-    done
-  done
 
 (* Roll a failed chain back to its last good checkpoint (or to scratch
    if it never produced one) and re-jitter the latents. The RNG is
@@ -493,46 +430,38 @@ let recover cfg st ~fatal ~cause =
           st.restarts cfg.max_restarts cause
           (match st.last_good with Some ck -> ck.Checkpoint.iteration | None -> 0));
     if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_restarts);
+    let ch = chain st in
     (match st.last_good with
-    | Some ck ->
-        Store.restore st.store ck.Checkpoint.snapshot;
-        st.params <- ck.Checkpoint.params;
-        st.it <- ck.Checkpoint.iteration
-    | None ->
-        st.params <- st.anchor;
-        st.it <- 0;
-        st.warmed <- false);
-    (match
-       Init.feasible ~strategy:cfg.stem.Stem.init_strategy ~target:st.anchor
-         st.store
-     with
+    | Some ck -> Chain.restore ch ck
+    | None -> Chain.restart ch);
+    (match Chain.rejitter ch with
     | Ok () -> ()
-    | Error msg -> st.status <- Dead ("restart re-initialization failed: " ^ msg));
-    rebuild_accumulators st
+    | Error msg -> st.status <- Dead ("restart re-initialization failed: " ^ msg))
   end
 
 let barrier_check cfg st =
+  let ch = chain st in
   match st.outcome with
   | Round_crashed cause ->
       let cause = "crash: " ^ cause in
-      st.incidents <- (st.it, cause) :: st.incidents;
+      st.incidents <- (Chain.iteration ch, cause) :: st.incidents;
       recover cfg st ~fatal:true ~cause
   | Round_ok ->
       if st.stall_flagged then recover cfg st ~fatal:true ~cause:"stall"
         (* incident already logged when the watchdog flagged it *)
       else begin
-        match Health.check st.store st.params with
+        match Health.check (Chain.store ch) (Chain.params ch) with
         | [] -> st.last_good <- Some (capture st)
         | vs ->
             let cause = "health: " ^ Health.describe vs in
-            st.incidents <- (st.it, cause) :: st.incidents;
+            st.incidents <- (Chain.iteration ch, cause) :: st.incidents;
             recover cfg st ~fatal:false ~cause
       end
 
 (* Cross-chain divergence monitor. Gated on the split-R̂ of the pooled
    post-burn-in mean-service iterates over {e service} queues only —
    the arrival queue's trace is nearly deterministic within a chain
-   (see the Stem.run_chains caveat) and would trip the gate spuriously.
+   (see the R̂ caveat on result.rhat) and would trip the gate spuriously.
    When the gate trips, the chain with the largest KS distance against
    the pooled rest is quarantined — at most one per barrier, so a
    single bad chain cannot drag the healthy majority out with it.
@@ -545,19 +474,21 @@ let divergence_pass cfg chains =
   if List.length healthy >= 3 then begin
     let burn = cfg.stem.Stem.burn_in in
     let window =
-      List.fold_left (fun acc st -> Stdlib.min acc (st.it - burn)) max_int
-        healthy
+      List.fold_left (fun acc st -> Stdlib.min acc (iterations_done st - burn))
+        max_int healthy
     in
     if window >= 8 then begin
-      let first = List.hd healthy in
-      let nq = Params.num_queues first.anchor in
-      let aq = first.anchor.Params.arrival_queue in
+      let p = Chain.params (chain (List.hd healthy)) in
+      let nq = Params.num_queues p in
+      let aq = p.Params.arrival_queue in
       let service_queues =
         List.filter (fun q -> q <> aq) (List.init nq Fun.id)
       in
       let trace st q =
+        let ch = chain st in
+        let it = Chain.iteration ch in
         Array.init window (fun k ->
-            Params.mean_service st.history.(st.it - window + k) q)
+            Params.mean_service (Chain.iterate ch (it - window + k)) q)
       in
       let rhat_max =
         List.fold_left
@@ -597,7 +528,7 @@ let divergence_pass cfg chains =
                 "divergence: split-Rhat %.3f > %.2f, KS %.3f vs pooled rest"
                 rhat_max cfg.rhat_threshold s
             in
-            st.incidents <- (st.it, cause) :: st.incidents;
+            st.incidents <- (iterations_done st, cause) :: st.incidents;
             recover cfg st ~fatal:false ~cause
         | _ -> ()
       end
@@ -686,25 +617,28 @@ let watch cfg wake runnable =
 (* ------------------------------------------------------------------ *)
 
 let verdict_of st =
-  let merged =
-    Array.fold_left Welford.merge (Welford.create ()) st.welford
+  (* an abandoned chain's iteration count races with its zombie domain;
+     the heartbeat's sweep index is the last trustworthy reading, and
+     warm-up sweeps beat negative indices *)
+  let n =
+    if st.abandoned then Stdlib.max 0 (snd (Watchdog.Heartbeat.last st.hb))
+    else iterations_done st
   in
+  let samples = Welford.create () in
+  for i = 0 to n - 1 do
+    Array.iter (Welford.add samples) st.samples.(i)
+  done;
   {
     chain = st.id;
     status = st.status;
-    iterations_done =
-      (* an abandoned chain's [it] races with its zombie domain; the
-         heartbeat's sweep index is the last trustworthy reading, and
-         warm-up sweeps beat negative indices *)
-      (if st.abandoned then Stdlib.max 0 (snd (Watchdog.Heartbeat.last st.hb))
-       else st.it);
+    iterations_done = n;
     restarts = st.restarts;
     heartbeats = Watchdog.Heartbeat.beats st.hb;
-    violations = Health.of_accumulator merged;
+    violations = Health.of_accumulator samples;
     incidents = List.rev st.incidents;
   }
 
-let finalize cfg chains t0 =
+let finalize cfg ~anchor0 chains t0 =
   let burn = cfg.stem.Stem.burn_in in
   let all = Array.to_list chains in
   let healthy = List.filter (fun st -> st.status = Healthy) all in
@@ -719,17 +653,17 @@ let finalize cfg chains t0 =
      gets a number (clearly marked [Failed]). *)
   let contributors =
     if healthy <> [] then healthy
-    else List.filter (fun st -> (not st.abandoned) && st.it > burn) all
+    else List.filter (fun st -> (not st.abandoned) && iterations_done st > burn) all
   in
-  let anchor0 = chains.(0).anchor in
   let nq = Params.num_queues anchor0 in
   let aq = anchor0.Params.arrival_queue in
   let post_burn st q =
-    Array.init (st.it - burn) (fun k ->
-        Params.mean_service st.history.(burn + k) q)
+    let ch = chain st in
+    Array.init (Chain.iteration ch - burn) (fun k ->
+        Params.mean_service (Chain.iterate ch (burn + k)) q)
   in
   let params, mean_service =
-    match List.filter (fun st -> st.it > burn) contributors with
+    match List.filter (fun st -> iterations_done st > burn) contributors with
     | [] -> (anchor0, Array.init nq (Params.mean_service anchor0))
     | cs ->
         let ms =
@@ -750,7 +684,7 @@ let finalize cfg chains t0 =
         (p, ms)
   in
   let diag_chains =
-    List.filter (fun st -> st.it - burn >= 4) healthy
+    List.filter (fun st -> iterations_done st - burn >= 4) healthy
   in
   let rhat, ess =
     match diag_chains with
@@ -787,9 +721,7 @@ let validate cfg faults =
   if cfg.min_chains < 1 || cfg.min_chains > cfg.chains then
     fail "min_chains must be in [1, chains]";
   if cfg.round_iterations < 1 then fail "round_iterations must be >= 1";
-  if cfg.stem.Stem.iterations < 1 then fail "stem.iterations must be >= 1";
-  if cfg.stem.Stem.burn_in < 0 || cfg.stem.Stem.burn_in >= cfg.stem.Stem.iterations
-  then fail "stem.burn_in must be in [0, iterations)";
+  Stem.check_config "Supervisor.run" cfg.stem;
   if not (Float.is_finite cfg.sweep_deadline && cfg.sweep_deadline > 0.0) then
     fail "sweep_deadline must be finite and positive";
   if not (Float.is_finite cfg.poll_interval && cfg.poll_interval > 0.0) then
@@ -806,16 +738,11 @@ let validate cfg faults =
       if f.Fault.at_iteration < 0 then fail "fault at_iteration must be >= 0")
     faults
 
-let chain_status_string = function
-  | Healthy -> "healthy"
-  | Quarantined c -> "quarantined: " ^ c
-  | Dead c -> "dead: " ^ c
-
 let export_diag_statuses chains =
   Array.iter
     (fun st ->
       Diagnostics.set_chain_status Diagnostics.default ~chain:st.id
-        (chain_status_string st.status))
+        (Format.asprintf "%a" pp_chain_status st.status))
     chains
 
 (* Rounds until no chain is runnable: each round hands every runnable
@@ -827,7 +754,7 @@ let run_rounds config wake chains =
   while !continue_ do
     let runnable =
       Array.to_list chains
-      |> List.filter (fun st -> st.status = Healthy && st.it < iterations)
+      |> List.filter (fun st -> st.status = Healthy && iterations_done st < iterations)
     in
     if runnable = [] then continue_ := false
     else begin
@@ -843,7 +770,7 @@ let run_rounds config wake chains =
           st.outcome <- Round_ok;
           Watchdog.Heartbeat.arm st.hb ~now:t;
           post st.mailbox
-            (Go (Stdlib.min iterations (st.it + config.round_iterations))))
+            (Go (Stdlib.min iterations (iterations_done st + config.round_iterations))))
         runnable;
       let abandoned = watch config wake runnable in
       List.iter
@@ -886,12 +813,10 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
     ~attrs:[ ("chains", string_of_int config.chains) ]
   @@ fun () ->
   let t0 = now () in
-  let chains =
+  let started =
     Array.init config.chains (init_chain config ~seed ~init make_store faults)
   in
-  if Metrics.enabled () then
-    Diagnostics.set_arrival_queue Diagnostics.default
-      chains.(0).anchor.Params.arrival_queue;
+  let chains = Array.map snd started in
   (* One domain per chain for the whole run, spawned once its store is
      built and initialised; it blocks on its mailbox between rounds. On
      every exit path each one is told to quit and joined — except an
@@ -912,17 +837,14 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
       Array.iter
         (fun st ->
           workers :=
-            (st, Domain.spawn (fun () -> chain_worker config st wake)) :: !workers)
+            (st, Domain.spawn (fun () -> chain_worker st wake)) :: !workers)
         chains;
       run_rounds config wake chains);
-  let r = finalize config chains t0 in
+  let r = finalize config ~anchor0:(fst started.(0)) chains t0 in
   if Metrics.enabled () then begin
     export_diag_statuses chains;
     Diagnostics.set_ensemble_status Diagnostics.default
-      (match r.status with
-      | Quorum -> "quorum"
-      | Degraded -> "degraded"
-      | Failed -> "failed");
+      (Format.asprintf "%a" pp_ensemble_status r.status);
     Diagnostics.publish Diagnostics.default
   end;
   Log.info (fun m ->

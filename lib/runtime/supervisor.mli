@@ -1,7 +1,7 @@
 (** Supervised multi-chain stochastic-EM inference.
 
-    {!run} executes N independent StEM chains on OCaml 5 domains and
-    babysits them from the main domain: every chain beats a
+    {!run} drives N independent {!Qnet_core.Stem.Chain}s on OCaml 5
+    domains and babysits them from the main domain: every chain beats a
     {!Watchdog.Heartbeat} once per sweep, a watchdog enforces a
     per-sweep deadline, a cross-chain monitor computes split-R̂ /
     effective sample size over the pooled iterates, and chains that
@@ -29,7 +29,7 @@
     unfaulted chains are bit-for-bit reproducible even when sibling
     chains are being killed and restarted around them — each chain
     owns a private store and a private RNG stream derived from
-    [seed + 7919·chain] (the {!Qnet_core.Stem.run_chains} convention).
+    [seed + 7919·chain].
 
     {b Stalls.} An OCaml domain cannot be preempted. A stalled chain
     is cancelled cooperatively (a flag it checks at each iteration
@@ -106,10 +106,13 @@ type result = {
   mean_service : float array;  (** pooled [1/μ̂_q] per queue *)
   rhat : float array;
       (** per-queue split-R̂ across healthy chains ([nan] when fewer
-          than one usable chain). The arrival queue's entry inherits
-          the {!Qnet_core.Stem.run_chains} caveat: its within-chain
-          variance is nearly zero, so its R̂ is inflated and not used
-          for divergence decisions. *)
+          than one usable chain). Caveat: a statistic that is almost
+          deterministic within a chain has vanishing within-chain
+          variance and can show an inflated R̂ while the chains agree
+          to a fraction of a percent. The arrival rate is one (its
+          sufficient statistic telescopes to the anchored horizon), so
+          the arrival queue's entry is not used by the divergence gate;
+          compare the estimates themselves. *)
   ess : float array;
       (** pooled effective sample size per queue ([nan] when unusable) *)
   healthy_chains : int;

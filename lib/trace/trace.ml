@@ -21,9 +21,10 @@ let compare_task_arrival a b =
       | c -> c)
   | c -> c
 
-(* [create] on an array it may sort in place *)
+(* [create] on an array it may sort in place; stably, so tied
+   zero-length visits keep their input order *)
 let of_array ~num_queues events =
-  Array.sort compare_task_arrival events;
+  Array.stable_sort compare_task_arrival events;
   Array.iter
     (fun e ->
       if e.queue < 0 || e.queue >= num_queues then

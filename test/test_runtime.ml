@@ -254,6 +254,43 @@ let test_kill_resume_bit_identical () =
   Sys.remove ckpt;
   if Sys.file_exists ckpt2 then Sys.remove ckpt2
 
+(* The harness adds checkpoints and health checks around the StEM
+   chain, nothing that draws: an unfaulted run must be Stem.run bit for
+   bit, down to the latent state and the RNG left behind. *)
+let test_unfaulted_matches_stem_run () =
+  let iterations = 30 in
+  let stem_config = { Stem.default_config with Stem.iterations; burn_in = 12 } in
+  let _, _, store_s = fresh_store () in
+  let rng_s = Rng.create ~seed:77 () in
+  let plain = Stem.run ~config:stem_config rng_s store_s in
+  let _, _, store_r = fresh_store () in
+  let rng_r = Rng.create ~seed:77 () in
+  let harnessed =
+    Runtime.run
+      ~config:{ Runtime.default_config with Runtime.stem = stem_config }
+      rng_r store_r
+  in
+  Alcotest.(check bool) "completed" true (harnessed.Runtime.status = Runtime.Completed);
+  Array.iteri
+    (fun q s -> check_bits (Printf.sprintf "mean service q%d" q) s
+        harnessed.Runtime.mean_service.(q))
+    plain.Stem.mean_service;
+  check_params "posterior mean" plain.Stem.params harnessed.Runtime.params;
+  check_params "final iterate" plain.Stem.params_last harnessed.Runtime.params_last;
+  Alcotest.(check int) "history length" iterations (Array.length harnessed.Runtime.history);
+  Array.iteri
+    (fun i p -> check_params (Printf.sprintf "history %d" i) p harnessed.Runtime.history.(i))
+    plain.Stem.history;
+  Array.iteri
+    (fun i l -> check_bits (Printf.sprintf "llh %d" i) l
+        harnessed.Runtime.log_likelihood_history.(i))
+    plain.Stem.log_likelihood_history;
+  let ds = (Store.snapshot store_s).Store.s_departure in
+  let dr = (Store.snapshot store_r).Store.s_departure in
+  Alcotest.(check int) "event count" (Array.length ds) (Array.length dr);
+  Array.iteri (fun i d -> check_bits (Printf.sprintf "latent %d" i) d dr.(i)) ds;
+  Alcotest.(check (array int64)) "rng state" (Rng.state rng_s) (Rng.state rng_r)
+
 let test_resume_rejects_wrong_store () =
   let ckpt = Filename.temp_file "qnet_test_mismatch" ".ckpt" in
   let _, _, store = fresh_store () in
@@ -583,6 +620,8 @@ let () =
           Alcotest.test_case "kill/resume bit-identical" `Slow
             test_kill_resume_bit_identical;
           Alcotest.test_case "wrong store rejected" `Quick test_resume_rejects_wrong_store;
+          Alcotest.test_case "unfaulted run matches Stem.run" `Quick
+            test_unfaulted_matches_stem_run;
         ] );
       ( "health",
         [

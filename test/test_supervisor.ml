@@ -264,7 +264,8 @@ let test_supervised_acceptance () =
       Alcotest.(check int) "chain completed" 160 v.Supervisor.iterations_done)
     r.Supervisor.verdicts;
   (* pooled service-rate iterates mix across surviving chains; the
-     arrival queue (q0) is excluded per the Stem.run_chains caveat *)
+     arrival queue (q0) is excluded per the R-hat caveat on
+     Supervisor.result *)
   Alcotest.(check bool) "split-Rhat certifies q1" true (r.Supervisor.rhat.(1) < 1.1);
   Alcotest.(check bool) "split-Rhat certifies q2" true (r.Supervisor.rhat.(2) < 1.1);
   Alcotest.(check bool) "pooled ESS positive" true
@@ -507,6 +508,25 @@ let test_config_validation () =
         ~faults:[ { Fault.chain = 0; at_iteration = -1; kind = Fault.Chain_crash } ]
         ~seed:1 make_store)
 
+(* The supervised chains are Stem chains: a profiled run reports the
+   same StEM phases a plain Stem.run does, recorded on the chains'
+   domains. *)
+let test_profiled_run_reports_stem_phases () =
+  let module Prof = Qnet_obs.Prof in
+  Prof.stop ();
+  ignore (Prof.start () : Prof.backend);
+  let r =
+    Fun.protect ~finally:Prof.stop (fun () ->
+        Supervisor.run ~config:(sup_config ~chains:2 ~iterations:12 ~burn_in:4 ()) ~seed:3
+          make_store)
+  in
+  Alcotest.(check bool) "quorum" true (r.Supervisor.status = Supervisor.Quorum);
+  let phases = List.map fst (Prof.phase_split ()) in
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) (phase ^ " in the phase split") true (List.mem phase phases))
+    [ "stem.iteration"; "stem.mstep"; "stem.loglik" ]
+
 let test_chain_fault_parsing () =
   (match Fault.parse_chain_fault "1:stall@5" with
   | Ok { Fault.chain = 1; at_iteration = 5; kind = Fault.Chain_stall _ } -> ()
@@ -565,6 +585,8 @@ let () =
             test_pinned_supervised_output;
           Alcotest.test_case "abandoned in warm-up reports no negative iterations"
             `Quick test_abandoned_in_warmup_iterations;
+          Alcotest.test_case "profiled run reports StEM phases" `Quick
+            test_profiled_run_reports_stem_phases;
         ] );
       ( "lifecycle",
         [

@@ -276,7 +276,9 @@ let test_lenient_events_match_csv () =
    points, rendered in full (every event's bits, every counter, every
    error with its line, task and detail, in report order) and compared
    with digests recorded from the list-based repair that the
-   array-based one replaced. *)
+   array-based one replaced. The first two were re-recorded when the
+   final sort became stable: task 2's tied zero-length visits now keep
+   their input order on both paths. *)
 let pinned_corpus () =
   [
     (* task 3 first: tasks are grouped by first appearance *)
@@ -347,13 +349,33 @@ let test_lenient_pinned () =
           lines
       @ [ "14,0,0,0"; "15,0,0,0,0.5,1"; "16,x,0,0,0.5"; "   "; "17,0,0,0,0x1p-1"; "17,1,1,0.5,0.9" ])
   in
-  check_pinned "of_events_lenient" "68b8e7573a84b428917e59b80c781275" (render_ingest (Trace.of_events_lenient ~num_queues:3 evs));
-  check_pinned "of_csv_lenient" "456f93f489792b06a58700e0aa25a95f" (render_ingest (Trace.of_csv_lenient ~num_queues:3 csv));
+  check_pinned "of_events_lenient" "a41556937961902538813462bb250e17" (render_ingest (Trace.of_events_lenient ~num_queues:3 evs));
+  check_pinned "of_csv_lenient" "79fe07184e6b3ca6383692dd37a2ac9a" (render_ingest (Trace.of_csv_lenient ~num_queues:3 csv));
   (* equal counts at two entry queues: the tie is broken the same way *)
   let tie = [ ev 0 0 1 0.0 0.2; ev 0 1 2 0.2 0.3; ev 1 0 0 0.0 0.3; ev 1 1 2 0.3 0.4 ] in
   check_pinned "entry-queue tie" "460aee6fc22cd781632875a5fcde79ad" (render_ingest (Trace.of_events_lenient ~num_queues:3 tie));
   check_pinned "nothing survives" "2bc4e96af008591918b11559a022cdf6"
     (render_ingest (Trace.of_events_lenient ~num_queues:3 [ ev 0 1 1 0.5 0.7; ev 1 0 0 0.0 Float.nan ]))
+
+(* Zero-length visits tie on (task, arrival, departure): the sort must
+   keep them in input order, whatever other tasks share the trace. *)
+let test_tied_visits_keep_input_order () =
+  let tied =
+    [ ev 2 0 0 0.0 0.2; ev 2 1 1 0.2 0.2; ev 2 2 1 0.2 0.2; ev 2 4 2 0.2 0.2; ev 2 3 2 0.2 0.6 ]
+  in
+  let other task = [ ev task 0 0 0.0 0.3; ev task 1 1 0.3 0.5; ev task 2 2 0.5 0.9 ] in
+  for k = 0 to 24 do
+    let before = List.concat_map other (List.init (k / 2) (fun i -> 10 + i)) in
+    let after = List.concat_map other (List.init (k - (k / 2)) (fun i -> 40 + i)) in
+    let t = Trace.create ~num_queues:3 (before @ tied @ after) in
+    let states =
+      Array.to_list t.Trace.events
+      |> List.filter_map (fun (e : Trace.event) ->
+             if e.Trace.task = 2 then Some e.Trace.state else None)
+    in
+    Alcotest.(check (list int)) (Printf.sprintf "task 2 order with %d other tasks" k)
+      [ 0; 1; 2; 4; 3 ] states
+  done
 
 let () =
   Alcotest.run "qnet_trace"
@@ -384,5 +406,7 @@ let () =
           Alcotest.test_case "typed events match csv" `Quick
             test_lenient_events_match_csv;
           Alcotest.test_case "pinned repair" `Quick test_lenient_pinned;
+          Alcotest.test_case "tied visits keep input order" `Quick
+            test_tied_visits_keep_input_order;
         ] );
     ]
